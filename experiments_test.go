@@ -20,41 +20,63 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // trace builds per experiment.
 var testWorkloads = []string{"spmv", "pagerank"}
 
+// tablesAtOnce runs experiment id once per core count, all at the same time
+// and each with ro, and returns the tables' JSON and rendered text in
+// cores order. Machines of different geometries building, finishing and
+// recycling each other's storage side by side is what it is for.
+func tablesAtOnce(t *testing.T, id string, cores []int, ro RunOptions) (jsons [][]byte, texts []string) {
+	t.Helper()
+	jsons = make([][]byte, len(cores))
+	texts = make([]string, len(cores))
+	errs := make([]error, len(cores))
+	var wg sync.WaitGroup
+	for i, n := range cores {
+		wg.Add(1)
+		go func(i, n int) {
+			defer wg.Done()
+			tbl, err := Experiments.Run(id, ExpOptions{Cores: n, Scale: 0.05, Workloads: testWorkloads, RunOptions: ro})
+			if err == nil {
+				texts[i] = tbl.String()
+				jsons[i], err = tbl.JSON()
+			}
+			errs[i] = err
+		}(i, n)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s at %d cores: %v", id, cores[i], err)
+		}
+	}
+	return jsons, texts
+}
+
 // TestExperimentsDeterministicAcrossParallelism is the harness's core
 // guarantee: every experiment produces byte-identical tables at parallelism
 // 1 and 8 (same derived seeds, ordered collection, no shared mutable state).
+// The parallel side runs a 4-core and a 16-core table at once, so cells of
+// two geometries trade recycled storage while the serial reference never
+// shares anything.
 func TestExperimentsDeterministicAcrossParallelism(t *testing.T) {
+	cores := []int{4, 16}
 	for _, id := range Experiments.IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			opts := func(par int) ExpOptions {
-				return ExpOptions{
-					Cores: 4, Scale: 0.05, Workloads: testWorkloads,
-					RunOptions: RunOptions{Seed: 7, Parallelism: par},
+			var sj [][]byte
+			var st []string
+			for _, n := range cores {
+				j, s := tablesAtOnce(t, id, []int{n}, RunOptions{Seed: 7, Parallelism: 1})
+				sj, st = append(sj, j...), append(st, s...)
+			}
+			pj, pt := tablesAtOnce(t, id, cores, RunOptions{Seed: 7, Parallelism: 8})
+			for k, n := range cores {
+				if !bytes.Equal(sj[k], pj[k]) {
+					t.Errorf("%d cores: tables differ between parallelism 1 and 8:\n--- j1\n%s\n--- j8\n%s", n, sj[k], pj[k])
 				}
-			}
-			serial, err := Experiments.Run(id, opts(1))
-			if err != nil {
-				t.Fatalf("parallelism 1: %v", err)
-			}
-			parallel, err := Experiments.Run(id, opts(8))
-			if err != nil {
-				t.Fatalf("parallelism 8: %v", err)
-			}
-			sj, err := serial.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			pj, err := parallel.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sj, pj) {
-				t.Errorf("tables differ between parallelism 1 and 8:\n--- j1\n%s\n--- j8\n%s", sj, pj)
-			}
-			if serial.String() != parallel.String() {
-				t.Error("rendered text differs between parallelism 1 and 8")
+				if st[k] != pt[k] {
+					t.Errorf("%d cores: rendered text differs between parallelism 1 and 8", n)
+				}
 			}
 		})
 	}
@@ -116,36 +138,39 @@ func TestExperimentGolden(t *testing.T) {
 // TestExperimentGoldenCheckpointed is the checkpointing correctness gate:
 // with prefix sharing on, fig2 and table3 must stay BYTE-identical to the
 // goldens at parallelism 1 and 8. The cache directory is shared across all
-// four runs, so later runs fork from checkpoints earlier runs published —
-// the exact cross-experiment reuse path (fig2 and table3 share every
-// workload's Perfect and Baseline cells) must not perturb a single bit.
+// runs, so later runs fork from checkpoints earlier runs published — the
+// exact cross-experiment reuse path (fig2 and table3 share every workload's
+// Perfect and Baseline cells) must not perturb a single bit. Each table is
+// then run at 4 and 16 cores at once at -j 8, checkpoints off, on (16-core
+// cells publish) and on again (they fork): cold cells and forks of two
+// geometries recycle each other's storage, and the 4-core bytes must still
+// be the golden's and the 16-core bytes those of a plain -j 1 run.
 func TestExperimentGoldenCheckpointed(t *testing.T) {
 	ckptcache.Flush()
 	defer ckptcache.Flush()
 	ResetCheckpointStats()
 	dir := t.TempDir()
+	on := CheckpointPolicy{Enabled: true, Dir: dir}
 	for _, id := range []string{"fig2", "table3"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", "golden_"+id+".json"))
 		if err != nil {
 			t.Fatalf("%v (regenerate with -update)", err)
 		}
+		golden = bytes.TrimSuffix(golden, []byte("\n"))
 		for _, par := range []int{1, 8} {
-			tbl, err := Experiments.Run(id, ExpOptions{
-				Cores: 4, Scale: 0.05, Workloads: testWorkloads,
-				RunOptions: RunOptions{
-					Parallelism: par,
-					Checkpoints: CheckpointPolicy{Enabled: true, Dir: dir},
-				},
-			})
-			if err != nil {
-				t.Fatalf("%s -j %d: %v", id, par, err)
-			}
-			data, err := tbl.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(append(data, '\n'), golden) {
+			data, _ := tablesAtOnce(t, id, []int{4}, RunOptions{Parallelism: par, Checkpoints: on})
+			if !bytes.Equal(data[0], golden) {
 				t.Errorf("%s -j %d: checkpointed run differs from golden bytes", id, par)
+			}
+		}
+		serial16, _ := tablesAtOnce(t, id, []int{16}, RunOptions{Parallelism: 1})
+		for pass, pol := range []CheckpointPolicy{{}, on, on} {
+			data, _ := tablesAtOnce(t, id, []int{4, 16}, RunOptions{Parallelism: 8, Checkpoints: pol})
+			if !bytes.Equal(data[0], golden) {
+				t.Errorf("%s pass %d: 4-core table run beside a 16-core one differs from golden bytes", id, pass)
+			}
+			if !bytes.Equal(data[1], serial16[0]) {
+				t.Errorf("%s pass %d: 16-core table run beside a 4-core one differs from its -j 1 bytes", id, pass)
 			}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"math/bits"
 
 	"github.com/impsim/imp/internal/mem"
+	"github.com/impsim/imp/internal/recycle"
 )
 
 // State is the coherence state of a line. The directory protocol is MSI;
@@ -156,6 +157,8 @@ type Cache struct {
 	ways  int
 	tags  []uint64 // numSets*ways; tagFree when the frame is Invalid
 	lines []Line   // parallel to tags
+	//imp:nosnap the free-list entry tags and lines came from, kept to hand back on Release
+	listed *frames
 	//imp:nosnap geometry, reconstructed from Config at build
 	setMask uint64
 	//imp:nosnap geometry, reconstructed from Config at build
@@ -163,25 +166,67 @@ type Cache struct {
 	clock    uint64
 }
 
-// New builds a cache from cfg; it panics on invalid configuration, which is
-// a programming error in experiment setup.
+// frames is the storage of one cache: the parallel tag and line arrays.
+type frames struct {
+	tags  []uint64
+	lines []Line
+}
+
+// frameList holds the frames of released caches, filed by frame count.
+// Frames are 84% of the bytes a simulated system is built from, so they are
+// recycled across systems rather than made and zeroed per cell.
+var frameList recycle.List[frames]
+
+// New builds an empty cache from cfg; it panics on invalid configuration,
+// which is a programming error in experiment setup. The frames come from the
+// free list when a released cache of the same frame count left them there.
 func New(cfg Config) *Cache {
+	c, recycled := newUncleared(cfg)
+	if recycled {
+		clear(c.lines)
+	}
+	for i := range c.tags {
+		c.tags[i] = tagFree
+	}
+	return c
+}
+
+// NewForRestore builds a cache whose frames hold unspecified contents: the
+// caller must Restore into it before any other use. Restore overwrites every
+// frame, so clearing recycled frames first would be wasted work.
+func NewForRestore(cfg Config) *Cache {
+	c, _ := newUncleared(cfg)
+	return c
+}
+
+func newUncleared(cfg Config) (c *Cache, recycled bool) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	numSets := cfg.SizeBytes / (cfg.Ways * mem.LineSize)
-	tags := make([]uint64, numSets*cfg.Ways)
-	for i := range tags {
-		tags[i] = tagFree
+	n := numSets * cfg.Ways
+	f := frameList.Get(n)
+	recycled = f != nil
+	if f == nil {
+		f = &frames{tags: make([]uint64, n), lines: make([]Line, n)}
 	}
 	return &Cache{
 		cfg:      cfg,
 		ways:     cfg.Ways,
-		tags:     tags,
-		lines:    make([]Line, numSets*cfg.Ways),
+		tags:     f.tags,
+		lines:    f.lines,
+		listed:   f,
 		setMask:  uint64(numSets - 1),
 		fullMask: FullMask(cfg.SectorBytes),
-	}
+	}, recycled
+}
+
+// Release surrenders the cache's frames to the free list. The cache must
+// not be used afterwards (any access panics rather than touching frames
+// another cache may already own); releasing twice is harmless.
+func (c *Cache) Release() {
+	frameList.Put(len(c.lines), c.listed)
+	c.listed, c.tags, c.lines = nil, nil, nil
 }
 
 // Config returns the cache's configuration.

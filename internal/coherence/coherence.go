@@ -13,7 +13,10 @@
 // simulator's allocation profile.
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // DefaultK is the ACKwise sharer-tracking limit used in the paper.
 const DefaultK = 4
@@ -100,23 +103,40 @@ type Directory struct {
 
 	// Open-addressed table: linear probing with tombstone deletion. The
 	// snapshot encodes live entries (sorted, via the Entry accessors); the
-	// table layout itself is rebuilt tombstone-free by initTable on restore.
-	//imp:nosnap table layout, rebuilt by initTable on restore
+	// table layout itself is rebuilt tombstone-free on restore.
+	//imp:nosnap table layout, rebuilt on restore
 	keys []uint64
-	//imp:nosnap table layout, rebuilt by initTable on restore
+	//imp:nosnap table layout, rebuilt on restore
 	vals []Entry
-	//imp:nosnap table layout, rebuilt by initTable on restore
+	//imp:nosnap table layout, rebuilt on restore
 	state []uint8
-	//imp:nosnap table layout, rebuilt by initTable on restore
+	//imp:nosnap table layout, rebuilt on restore
 	live int // slotFull count
-	//imp:nosnap table layout, rebuilt by initTable on restore
+	//imp:nosnap table layout, rebuilt on restore
 	dead int // slotTomb count
+	//imp:nosnap the free-list entry the table came in, if any, reused to hand it back on Release
+	listed *table
 }
 
 const initialSlots = 256
 
-// New returns a directory with ACKwise_k tracking for numCores cores.
-// k must be in [1, 8] so the precise sharer list stays inline.
+// table is the storage of one released directory, kept for the next New.
+type table struct {
+	keys  []uint64
+	vals  []Entry
+	state []uint8
+}
+
+// tables holds released directory tables of any size. A directory grows
+// its table by doubling as lines arrive, so one taken from here starts at
+// the size an earlier run of the sweep grew it to and does not rehash its
+// way up again; table size is invisible to the protocol (lookups are by key
+// and nothing iterates the table in slot order). sync.Pool lets the garbage
+// collector bound what an idle process retains.
+var tables sync.Pool // of *table
+
+// New returns an empty directory with ACKwise_k tracking for numCores
+// cores. k must be in [1, 8] so the precise sharer list stays inline.
 func New(k, numCores int) *Directory {
 	if k <= 0 || numCores <= 0 {
 		panic(fmt.Sprintf("coherence: invalid directory (k=%d cores=%d)", k, numCores))
@@ -125,14 +145,43 @@ func New(k, numCores int) *Directory {
 		panic(fmt.Sprintf("coherence: k=%d exceeds the inline sharer limit %d", k, maxK))
 	}
 	d := &Directory{k: k, numCores: numCores}
-	d.initTable(initialSlots)
+	if t, _ := tables.Get().(*table); t != nil {
+		d.keys, d.vals, d.state, d.listed = t.keys, t.vals, t.state, t
+		d.clearTable()
+	} else {
+		d.initTable(initialSlots)
+	}
 	return d
+}
+
+// Release surrenders the directory's table, at whatever size it has grown
+// to, for a later New to take. The directory must not be used afterwards;
+// releasing twice is harmless.
+func (d *Directory) Release() {
+	if d.state == nil {
+		return
+	}
+	t := d.listed
+	if t == nil {
+		t = new(table)
+	}
+	*t = table{keys: d.keys, vals: d.vals, state: d.state}
+	tables.Put(t)
+	d.keys, d.vals, d.state, d.listed = nil, nil, nil, nil
 }
 
 func (d *Directory) initTable(n int) {
 	d.keys = make([]uint64, n)
 	d.vals = make([]Entry, n)
 	d.state = make([]uint8, n)
+	d.live, d.dead = 0, 0
+}
+
+// clearTable empties the table in place. Only the slot states need
+// clearing: a key or entry is read only behind a slotFull state, and entry
+// writes both when it fills a slot.
+func (d *Directory) clearTable() {
+	clear(d.state)
 	d.live, d.dead = 0, 0
 }
 

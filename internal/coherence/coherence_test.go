@@ -1,8 +1,14 @@
 package coherence
 
 import (
+	"bytes"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"github.com/impsim/imp/internal/recycle"
+	"github.com/impsim/imp/internal/snap"
 )
 
 func TestFirstReadNoAction(t *testing.T) {
@@ -217,5 +223,107 @@ func TestSharerCountNeverNegative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+func snapshotOf(d *Directory) []byte {
+	w := snap.NewWriter(1 << 12)
+	d.Snapshot(w)
+	return append([]byte(nil), w.Data()...)
+}
+
+// fill tracks n lines with a mix of sharers, owners and L2 evictions.
+func fill(d *Directory, n int) {
+	for i := 0; i < n; i++ {
+		line := uint64(i)*3 + 1
+		d.Read(line, i%d.numCores)
+		switch i % 5 {
+		case 1:
+			d.Write(line, (i+1)%d.numCores)
+		case 2:
+			d.EvictL2(line)
+		}
+	}
+}
+
+// TestRecycledDirectoryKeepsGrownTable: a directory built on a released
+// table starts empty, behaves as a made one, and starts at the size the
+// table was grown to, so tracking the same lines again allocates no table
+// (rehash makes three arrays every time it runs).
+func TestRecycledDirectoryKeepsGrownTable(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection may empty the list
+	tables = sync.Pool{}
+	const lines = 3000
+	fresh := New(DefaultK, 16)
+	fill(fresh, lines)
+	want := snapshotOf(fresh)
+	grown := len(fresh.state)
+	if grown <= initialSlots {
+		t.Fatalf("%d lines did not grow the table past %d slots", lines, initialSlots)
+	}
+	fresh.Release()
+	fresh.Release() // twice is harmless
+
+	d := New(DefaultK, 4)
+	if d.Lines() != 0 || d.Entry(1) != nil {
+		t.Fatal("directory built on a recycled table is not empty")
+	}
+	if !recycle.Lossy && len(d.state) != grown {
+		t.Fatalf("recycled directory has %d slots, want the grown %d", len(d.state), grown)
+	}
+	if other := New(DefaultK, 4); !recycle.Lossy && len(other.state) != initialSlots {
+		t.Fatal("one released table satisfied two directories")
+	}
+	d.Release()
+
+	d = New(DefaultK, 16)
+	fill(d, lines)
+	if got := snapshotOf(d); !bytes.Equal(got, want) {
+		t.Error("directory on a recycled table diverged from a fresh one")
+	}
+	d.Release()
+	if recycle.Lossy {
+		return // the Puts above may have been dropped: nothing to count
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		d := New(DefaultK, 16)
+		for i := 0; i < lines; i++ {
+			d.Read(uint64(i)*3+1, i%16)
+		}
+		d.Release()
+	})
+	if allocs != 1 { // the Directory
+		t.Errorf("steady-state directory: %v allocations a run, want 1 (it rehashed)", allocs)
+	}
+}
+
+// TestRecycledDirectoryRestoreReusesTable: Restore empties and refills a
+// table that is large enough in place of making three new arrays, and still
+// grows one that is too small.
+func TestRecycledDirectoryRestoreReusesTable(t *testing.T) {
+	src := New(DefaultK, 16)
+	fill(src, 3000)
+	blob := snapshotOf(src)
+
+	big := New(DefaultK, 16)
+	fill(big, 9000) // stale entries Restore must not keep
+	keys := &big.keys[0]
+	if err := big.Restore(snap.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	if &big.keys[0] != keys {
+		t.Error("Restore replaced a table that was large enough")
+	}
+	if got := snapshotOf(big); !bytes.Equal(got, blob) {
+		t.Error("Restore into a used table left stale entries behind")
+	}
+
+	small := &Directory{k: DefaultK, numCores: 16}
+	small.initTable(initialSlots)
+	if err := small.Restore(snap.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotOf(small); !bytes.Equal(got, blob) {
+		t.Error("Restore into a small table lost entries")
 	}
 }

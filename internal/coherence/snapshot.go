@@ -60,7 +60,11 @@ func (d *Directory) Restore(r *snap.Reader) error {
 	for 4*(n+1) > 3*slots {
 		slots *= 2
 	}
-	d.initTable(slots)
+	if slots > len(d.state) {
+		d.initTable(slots)
+	} else {
+		d.clearTable()
+	}
 	for i := 0; i < n; i++ {
 		key := r.U64()
 		e := d.entry(key)

@@ -8,7 +8,11 @@
 // (§5.1): a 16-core system has 4 MCs, 64 cores 8 MCs, 256 cores 16 MCs.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/impsim/imp/internal/recycle"
+)
 
 // Model is a main-memory timing model. Access plays one transfer of size
 // bytes for the cacheline lineID through memory controller mc, starting no
@@ -20,6 +24,9 @@ type Model interface {
 	NumMCs() int
 	Stats() Stats
 	ResetStats()
+	// Release surrenders the model's timing state for reuse by a later
+	// model; only Stats may be called afterwards.
+	Release()
 }
 
 // Stats aggregates DRAM activity. Bytes is the paper's "DRAM traffic"
@@ -132,6 +139,10 @@ func (d *DDR3) Stats() Stats { return d.stats }
 // ResetStats clears the counters (not timing state).
 func (d *DDR3) ResetStats() { d.stats = Stats{} }
 
+// Release does nothing: the bank table is under a kilobyte per controller,
+// less than the free list's own bookkeeping.
+func (d *DDR3) Release() {}
+
 func (d *DDR3) cycles(n int) int64 {
 	return int64(float64(n)*d.cfg.CoreClockMul + 0.5)
 }
@@ -241,17 +252,54 @@ func (r *mcRing) reserve(t int64, bytes, capPerEpoch float64) int64 {
 // Simple is the fixed latency + bandwidth model.
 type Simple struct {
 	//imp:nosnap configuration, fixed at construction
-	cfg   SimpleConfig
-	mcs   []mcRing
-	stats Stats
+	cfg SimpleConfig
+	mcs []mcRing
+	//imp:nosnap the free-list entry mcs came from, kept to hand back on Release
+	listed *[]mcRing
+	stats  Stats
 }
 
-// NewSimple builds the simple model.
+// ringList holds the bandwidth rings of released simple models, filed by MC
+// count (8 KB a controller).
+var ringList recycle.List[[]mcRing]
+
+// NewSimple builds an idle simple model. The bandwidth rings come from the
+// free list when a released model of the same MC count left them there.
 func NewSimple(cfg SimpleConfig) *Simple {
+	s, recycled := newSimpleUncleared(cfg)
+	if recycled {
+		clear(s.mcs)
+	}
+	return s
+}
+
+// NewSimpleForRestore builds a simple model whose rings hold unspecified
+// contents: the caller must Restore into it before any other use. Restore
+// overwrites every ring, so clearing recycled rings first would be wasted
+// work.
+func NewSimpleForRestore(cfg SimpleConfig) *Simple {
+	s, _ := newSimpleUncleared(cfg)
+	return s
+}
+
+func newSimpleUncleared(cfg SimpleConfig) (s *Simple, recycled bool) {
 	if cfg.NumMCs <= 0 || cfg.LatencyCycles <= 0 || cfg.BytesPerCycle <= 0 {
 		panic(fmt.Sprintf("dram: invalid config %+v", cfg))
 	}
-	return &Simple{cfg: cfg, mcs: make([]mcRing, cfg.NumMCs)}
+	e := ringList.Get(cfg.NumMCs)
+	recycled = e != nil
+	if e == nil {
+		mcs := make([]mcRing, cfg.NumMCs)
+		e = &mcs
+	}
+	return &Simple{cfg: cfg, mcs: *e, listed: e}, recycled
+}
+
+// Release surrenders the bandwidth rings to the free list; releasing twice
+// is harmless.
+func (s *Simple) Release() {
+	ringList.Put(len(s.mcs), s.listed)
+	s.listed, s.mcs = nil, nil
 }
 
 // NumMCs returns the number of memory controllers.

@@ -1,8 +1,13 @@
 package dram
 
 import (
+	"bytes"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
+
+	"github.com/impsim/imp/internal/recycle"
+	"github.com/impsim/imp/internal/snap"
 )
 
 func TestMCForLineInterleaves(t *testing.T) {
@@ -164,5 +169,58 @@ func TestPaperMCScaling(t *testing.T) {
 		if got := MCCountForCores(tc.cores); got != tc.mcs {
 			t.Errorf("MCCountForCores(%d) = %d, want %d", tc.cores, got, tc.mcs)
 		}
+	}
+}
+
+func snapshotOf(s *Simple) []byte {
+	w := snap.NewWriter(1 << 12)
+	s.Snapshot(w)
+	return append([]byte(nil), w.Data()...)
+}
+
+// load saturates every controller's bandwidth ring for a while.
+func load(s *Simple) {
+	for i := 0; i < 4000; i++ {
+		s.Access(int64(i), i%s.NumMCs(), uint64(i), 64)
+	}
+}
+
+// TestRecycledSimpleEqualsFreshSimple: bandwidth rings released full of
+// another run's reservations come back from NewSimple idle, and from
+// NewSimpleForRestore + Restore holding exactly the restored state.
+func TestRecycledSimpleEqualsFreshSimple(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection may empty the list
+	ringList = recycle.List[[]mcRing]{}
+	cfg := DefaultSimpleConfig(4)
+	fresh := NewSimple(cfg)
+	idle := snapshotOf(fresh)
+	load(fresh)
+	want := snapshotOf(fresh)
+	rings := &fresh.mcs[0]
+	fresh.Release()
+	fresh.Release() // twice is harmless
+
+	s := NewSimple(cfg)
+	if !recycle.Lossy && &s.mcs[0] != rings {
+		t.Fatal("NewSimple did not take the released rings")
+	}
+	if got := snapshotOf(s); !bytes.Equal(got, idle) {
+		t.Error("model built on recycled rings is not idle")
+	}
+	if other := NewSimple(cfg); &other.mcs[0] == &s.mcs[0] {
+		t.Fatal("two models share one set of rings")
+	}
+	load(s)
+	if got := snapshotOf(s); !bytes.Equal(got, want) {
+		t.Error("model on recycled rings queued differently from a fresh one")
+	}
+	s.Release()
+
+	r := NewSimpleForRestore(cfg) // takes s's loaded rings as they are
+	if err := r.Restore(snap.NewReader(idle)); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotOf(r); !bytes.Equal(got, idle) {
+		t.Error("Restore into recycled rings left stale reservations behind")
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+
+	"github.com/impsim/imp/internal/recycle"
 )
 
 // Config sizes the mesh.
@@ -114,6 +116,8 @@ type Mesh struct {
 	//imp:nosnap configuration, fixed at construction
 	cfg   Config
 	links []link // per (tile, direction)
+	//imp:nosnap the free-list entry links came from, kept to hand back on Release
+	listed *[]link
 
 	// Traffic accounting (paper Fig 12 reports NoC traffic).
 	FlitHops  uint64 // flits × links traversed
@@ -121,15 +125,47 @@ type Mesh struct {
 	DataBytes uint64 // payload bytes carried
 }
 
-// New builds a mesh from cfg.
+// linkList holds the link rings of released meshes, filed by link count
+// (~6 KB a link).
+var linkList recycle.List[[]link]
+
+// New builds an idle mesh from cfg. The link rings come from the free list
+// when a released mesh of the same size left them there.
 func New(cfg Config) *Mesh {
+	m, recycled := newUncleared(cfg)
+	if recycled {
+		clear(m.links)
+	}
+	return m
+}
+
+// NewForRestore builds a mesh whose link rings hold unspecified contents:
+// the caller must Restore into it before any other use. Restore overwrites
+// every ring, so clearing recycled rings first would be wasted work.
+func NewForRestore(cfg Config) *Mesh {
+	m, _ := newUncleared(cfg)
+	return m
+}
+
+func newUncleared(cfg Config) (m *Mesh, recycled bool) {
 	if cfg.Dim <= 0 || cfg.HopLatency <= 0 || cfg.FlitBytes <= 0 {
 		panic(fmt.Sprintf("noc: invalid config %+v", cfg))
 	}
-	return &Mesh{
-		cfg:   cfg,
-		links: make([]link, cfg.Dim*cfg.Dim*numDirs),
+	n := cfg.Dim * cfg.Dim * numDirs
+	e := linkList.Get(n)
+	recycled = e != nil
+	if e == nil {
+		links := make([]link, n)
+		e = &links
 	}
+	return &Mesh{cfg: cfg, links: *e, listed: e}, recycled
+}
+
+// Release surrenders the link rings to the free list. The mesh must not be
+// used afterwards; releasing twice is harmless.
+func (m *Mesh) Release() {
+	linkList.Put(len(m.links), m.listed)
+	m.listed, m.links = nil, nil
 }
 
 // Config returns the mesh configuration.

@@ -1,8 +1,13 @@
 package noc
 
 import (
+	"bytes"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
+
+	"github.com/impsim/imp/internal/recycle"
+	"github.com/impsim/imp/internal/snap"
 )
 
 func TestDefaultConfig(t *testing.T) {
@@ -218,5 +223,59 @@ func TestDiamondMCEdgeCases(t *testing.T) {
 	}
 	if got := DiamondMCTiles(2, 100); len(got) != 4 {
 		t.Errorf("over-asking returns %d tiles, want all 4", len(got))
+	}
+}
+
+func snapshotOf(m *Mesh) []byte {
+	w := snap.NewWriter(1 << 12)
+	m.Snapshot(w)
+	return append([]byte(nil), w.Data()...)
+}
+
+// traffic loads the mesh with enough packets to queue on links.
+func traffic(m *Mesh) {
+	n := m.Tiles()
+	for i := 0; i < 4000; i++ {
+		m.Send(int64(i*3), i%n, (i*7+3)%n, (i%3)*32)
+	}
+}
+
+// TestRecycledMeshEqualsFreshMesh: link rings released full of another
+// run's reservations come back from New idle, and from NewForRestore +
+// Restore holding exactly the restored state.
+func TestRecycledMeshEqualsFreshMesh(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection may empty the list
+	linkList = recycle.List[[]link]{}
+	cfg := DefaultConfig(16)
+	fresh := New(cfg)
+	idle := snapshotOf(fresh)
+	traffic(fresh)
+	want := snapshotOf(fresh)
+	rings := &fresh.links[0]
+	fresh.Release()
+	fresh.Release() // twice is harmless
+
+	m := New(cfg)
+	if !recycle.Lossy && &m.links[0] != rings {
+		t.Fatal("New did not take the released rings")
+	}
+	if got := snapshotOf(m); !bytes.Equal(got, idle) {
+		t.Error("mesh built on recycled rings is not idle")
+	}
+	if other := New(cfg); &other.links[0] == &m.links[0] {
+		t.Fatal("two meshes share one set of rings")
+	}
+	traffic(m)
+	if got := snapshotOf(m); !bytes.Equal(got, want) {
+		t.Error("mesh on recycled rings queued differently from a fresh one")
+	}
+	m.Release()
+
+	r := NewForRestore(cfg) // takes m's loaded rings as they are
+	if err := r.Restore(snap.NewReader(idle)); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotOf(r); !bytes.Equal(got, idle) {
+		t.Error("Restore into recycled rings left stale reservations behind")
 	}
 }

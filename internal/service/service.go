@@ -825,14 +825,21 @@ func (s *Service) execute(ctx context.Context, j *Job) ([]byte, error) {
 	return tbl.JSON()
 }
 
-// finishJob records the terminal state, publishes the result, appends the
-// terminal event and retires the singleflight entry for failed/canceled
-// jobs so a resubmission can retry. onlyIfQueued guards the
-// cancel-while-queued path: if an executor already moved the job to
+// finishJob stores the result, then records the terminal state and appends
+// the terminal event, and retires the singleflight entry for
+// failed/canceled jobs so a resubmission can retry. The store put comes
+// first so that "done" means stored: a waiter woken by the terminal event,
+// a peer polling the job's state or a restart right after it must find the
+// result in the store. Only the executor that ran the job finishes it with
+// a result, so the put cannot race another finisher. onlyIfQueued guards
+// the cancel-while-queued path: if an executor already moved the job to
 // running, the transition is abandoned (the executor owns the job's fate —
 // it saw cancelReq and finishes it as canceled itself). Lock order: j.mu
 // and s.mu are never held together — state first, index second.
 func (s *Service) finishJob(j *Job, data []byte, err error, onlyIfQueued bool) {
+	if err == nil {
+		s.store.put(j.key, data)
+	}
 	j.mu.Lock()
 	if j.state.Terminal() || (onlyIfQueued && j.state != api.StateQueued) {
 		j.mu.Unlock()
@@ -857,7 +864,6 @@ func (s *Service) finishJob(j *Job, data []byte, err error, onlyIfQueued bool) {
 	j.mu.Unlock()
 
 	if state == api.StateDone {
-		s.store.put(j.key, data)
 		return
 	}
 	s.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -337,5 +338,71 @@ func TestStoredKeysInventory(t *testing.T) {
 	}
 	if len(keys) != 1 || keys[0] != testKey(7) {
 		t.Fatalf("disk inventory after restart: %v, want just %s", keys, testKey(7))
+	}
+}
+
+// blockingStore parks every put until unblock is called, announcing the
+// first one on entered.
+type blockingStore struct {
+	resultStore
+	entered   chan struct{}
+	release   chan struct{}
+	enterOnce sync.Once
+	freeOnce  sync.Once
+}
+
+func (b *blockingStore) put(key string, data []byte) {
+	b.enterOnce.Do(func() { close(b.entered) })
+	<-b.release
+	b.resultStore.put(key, data)
+}
+
+func (b *blockingStore) unblock() { b.freeOnce.Do(func() { close(b.release) }) }
+
+// TestDoneMeansStored pins the finishJob order: the result is stored before
+// the terminal state is published. With the store blocked mid-put the
+// status must not say done, and the first thing a waiter on the event
+// stream does when the terminal event wakes it — read the store — must hit.
+func TestDoneMeansStored(t *testing.T) {
+	svc, _ := startService(t, Config{})
+	bs := &blockingStore{resultStore: svc.store, entered: make(chan struct{}), release: make(chan struct{})}
+	svc.store = bs
+	t.Cleanup(bs.unblock) // a failed assertion must not leave the executor parked
+	st, err := svc.Submit(testSweepSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := svc.Job(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stored := make(chan bool, 1) // the waiter's one send
+	go func() {
+		seq := 0
+		for {
+			evs, terminal, err := j.WaitEvents(context.Background(), seq)
+			if err != nil {
+				stored <- false
+				return
+			}
+			seq += len(evs)
+			if terminal {
+				_, ok := svc.StoredResult(st.Key)
+				stored <- ok
+				return
+			}
+		}
+	}()
+
+	<-bs.entered
+	// The executor is inside put, so nothing may report the job finished. A
+	// waiter woken now would read the store, miss, and fail the test below.
+	if got := j.Status().State; got.Terminal() {
+		t.Fatalf("job state %q while the store put was still blocked", got)
+	}
+	bs.unblock()
+	if !<-stored {
+		t.Fatal("waiter saw the terminal event before the result was in the store")
 	}
 }

@@ -218,16 +218,22 @@ func powerOfTwoAtMost(n int) int {
 	return p
 }
 
-// buildDRAM constructs the configured DRAM model.
-func (c Config) buildDRAM() dram.Model {
+// buildDRAM constructs the configured DRAM model; restoring is as for build.
+func (c Config) buildDRAM(restoring bool) dram.Model {
 	if c.DRAM == DRAMDDR3 {
 		return dram.NewDDR3(dram.DefaultDDR3Config(c.numMCs()))
+	}
+	if restoring {
+		return dram.NewSimpleForRestore(dram.DefaultSimpleConfig(c.numMCs()))
 	}
 	return dram.NewSimple(dram.DefaultSimpleConfig(c.numMCs()))
 }
 
-// buildNoC constructs the mesh.
-func (c Config) buildNoC() *noc.Mesh {
+// buildNoC constructs the mesh; restoring is as for build.
+func (c Config) buildNoC(restoring bool) *noc.Mesh {
+	if restoring {
+		return noc.NewForRestore(noc.DefaultConfig(c.Cores))
+	}
 	return noc.New(noc.DefaultConfig(c.Cores))
 }
 

@@ -53,7 +53,7 @@ func New(src trace.Source, cfg Config) (*System, error) {
 	if err := validateRun(src, cfg); err != nil {
 		return nil, err
 	}
-	return &System{s: build(src, cfg)}, nil
+	return &System{s: build(src, cfg, false)}, nil
 }
 
 // validateRun is the shared precondition check for RunSource, New and
@@ -88,7 +88,9 @@ func (y *System) RunUntil(records int) error {
 // Finish runs the simulation to completion and returns the metrics. The
 // system cannot be snapshotted afterwards: metric finalization folds
 // residual per-tile state (in-flight prefetches, IMP counters) into the
-// totals.
+// totals, and the simulated machine's storage is surrendered for reuse by
+// later systems. The returned Metrics is an independent copy that no later
+// run can touch.
 func (y *System) Finish() (*Metrics, error) {
 	if y.finished {
 		return nil, errors.New("sim: system already finished")
@@ -98,7 +100,9 @@ func (y *System) Finish() (*Metrics, error) {
 		return nil, fmt.Errorf("sim: record stream: %w", y.s.streamErr)
 	}
 	y.finished = true
-	return y.s.collect(), nil
+	m := y.s.collect()
+	y.s.release()
+	return m, nil
 }
 
 // Cycles reports the simulated time reached so far: the maximum tile
@@ -167,9 +171,12 @@ func Restore(src trace.Source, cfg Config, data []byte) (*System, error) {
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("sim: snapshot CRC mismatch (got %08x, want %08x)", got, want)
 	}
-	s := build(src, cfg)
+	s := build(src, cfg, true)
 	r := snap.NewReader(body[snapshotHeaderLen:])
 	if err := s.restore(r); err != nil {
+		// Half-overwritten storage is fit to recycle: every build cleans or
+		// overwrites what it takes.
+		s.release()
 		return nil, err
 	}
 	return &System{s: s}, nil
@@ -326,7 +333,7 @@ func (s *system) restore(r *snap.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	s.h = make([]*tile, 0, max(hn, len(s.tiles)))
+	s.h = s.h[:0]
 	for i := 0; i < hn; i++ {
 		id := r.Int()
 		if id < 0 || id >= len(s.tiles) {

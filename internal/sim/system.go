@@ -137,6 +137,9 @@ type system struct {
 }
 
 // Run replays prog on the system described by cfg and returns the metrics.
+// The simulated machine's storage is surrendered for reuse by later runs
+// before Run returns; the returned Metrics is an independent copy that no
+// later run can touch.
 func Run(prog *trace.Program, cfg Config) (*Metrics, error) {
 	return RunSource(prog.Source(), cfg)
 }
@@ -144,7 +147,7 @@ func Run(prog *trace.Program, cfg Config) (*Metrics, error) {
 // RunSource replays a trace source on the system described by cfg. With a
 // streaming source (trace.FileSource) the per-core records are decoded on
 // the fly inside a bounded lookahead window, so replay memory does not
-// scale with trace length.
+// scale with trace length. Storage and the returned Metrics are as for Run.
 func RunSource(src trace.Source, cfg Config) (*Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -155,7 +158,8 @@ func RunSource(src trace.Source, cfg Config) (*Metrics, error) {
 	if err := src.Validate(); err != nil {
 		return nil, err
 	}
-	s := build(src, cfg)
+	s := build(src, cfg, false)
+	defer s.release()
 	s.run()
 	if s.streamErr != nil {
 		return nil, fmt.Errorf("sim: record stream: %w", s.streamErr)
@@ -163,28 +167,39 @@ func RunSource(src trace.Source, cfg Config) (*Metrics, error) {
 	return s.collect(), nil
 }
 
-func build(src trace.Source, cfg Config) *system {
+// build assembles the machine. Its large arrays — cache frames, directory
+// tables, NoC link rings, DRAM bandwidth rings — are taken from the free
+// lists release returns them to (each layer keeps its own, keyed by size),
+// and cleaned as they are taken. With restoring set the caller will overlay
+// a snapshot at once, which overwrites those arrays in full, so they are
+// taken as they are.
+func build(src trace.Source, cfg Config, restoring bool) *system {
 	n := cfg.Cores
+	newCache := cache.New
+	if restoring {
+		newCache = cache.NewForRestore
+	}
 	s := &system{
 		cfg:   cfg,
 		src:   src,
 		space: src.Memory(),
 		spin:  src.SpinBarrierWait(),
-		mesh:  cfg.buildNoC(),
-		mem:   cfg.buildDRAM(),
+		mesh:  cfg.buildNoC(restoring),
+		mem:   cfg.buildDRAM(restoring),
 		l2:    make([]*cache.Cache, n),
 		dir:   make([]*coherence.Directory, n),
 		tiles: make([]*tile, 0, n),
+		h:     make([]*tile, 0, n),
 	}
 	s.mcOf = noc.DiamondMCTiles(s.mesh.Config().Dim, cfg.numMCs())
 	l2cfg := cache.Config{SizeBytes: cfg.l2SliceBytes(), Ways: cfg.L2Ways, SectorBytes: cfg.l2SectorBytes()}
 	l1cfg := cache.Config{SizeBytes: cfg.L1SizeBytes, Ways: cfg.L1Ways, SectorBytes: cfg.l1SectorBytes()}
 	for i := 0; i < n; i++ {
-		s.l2[i] = cache.New(l2cfg)
+		s.l2[i] = newCache(l2cfg)
 		s.dir[i] = coherence.New(ackwiseK, n)
 		t := &tile{
 			id:       i,
-			l1:       cache.New(l1cfg),
+			l1:       newCache(l1cfg),
 			pipe:     cpu.New(cfg.CoreModel, cfg.OoOWindow),
 			stream:   src.Open(i),
 			memr:     mem.NewCachedReader(s.space),
@@ -210,6 +225,21 @@ func build(src trace.Source, cfg Config) *system {
 		s.tiles = append(s.tiles, t)
 	}
 	return s
+}
+
+// release surrenders the machine's large arrays to the free lists for a
+// later build to take. The system must not be stepped afterwards; tile
+// clocks and the mesh and DRAM counters stay readable.
+func (s *system) release() {
+	s.mesh.Release()
+	s.mem.Release()
+	for i := range s.l2 {
+		s.l2[i].Release()
+		s.dir[i].Release()
+	}
+	for _, t := range s.tiles {
+		t.l1.Release()
+	}
 }
 
 // chainedPrefetcher merges the requests of two prefetchers. Both append
@@ -318,7 +348,6 @@ func (s *system) seedHeap() {
 		return
 	}
 	s.started = true
-	s.h = make([]*tile, 0, len(s.tiles))
 	for _, t := range s.tiles {
 		s.heapPush(t)
 	}
@@ -859,9 +888,11 @@ func (s *system) activeTiles() int {
 	return n
 }
 
-// collect finalizes the metrics.
+// collect finalizes the metrics into a copy that shares nothing with the
+// system.
 func (s *system) collect() *Metrics {
-	m := &s.met
+	m := new(Metrics)
+	*m = s.met
 	m.PerCoreCycles = make([]int64, len(s.tiles))
 	for i, t := range s.tiles {
 		m.PerCoreCycles[i] = t.time
