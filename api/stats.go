@@ -47,11 +47,11 @@ type ServiceStats struct {
 	QuotaRejections uint64 `json:"quota_rejections,omitempty"`
 	QueueRejections uint64 `json:"queue_rejections,omitempty"`
 	// Checkpointed-sweep counters; all zero when checkpointing is off.
-	// CheckpointHits counts sweep points forked from a restored simulation
-	// checkpoint instead of simulated cold; CheckpointMisses counts shared
-	// replays simulated once and published to the checkpoint cache;
-	// PrefixCyclesSaved totals the simulated cycles those forks did not
-	// have to re-execute.
+	// CheckpointHits counts sweep points answered from the checkpoint cache
+	// — a finished simulation's stored metrics — instead of simulated;
+	// CheckpointMisses counts shared replays simulated once and published to
+	// the checkpoint cache; PrefixCyclesSaved totals the simulated cycles
+	// those hits did not have to re-execute.
 	CheckpointHits    uint64 `json:"checkpoint_hits,omitempty"`
 	CheckpointMisses  uint64 `json:"checkpoint_misses,omitempty"`
 	PrefixCyclesSaved uint64 `json:"prefix_cycles_saved,omitempty"`

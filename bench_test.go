@@ -8,6 +8,7 @@ package imp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -92,9 +93,9 @@ func BenchmarkGHBComparison(b *testing.B) {
 
 // BenchmarkSweepPrefixSharing measures checkpointed sweep execution on the
 // fig2+table3 pair — the grids overlap in every workload's Perfect and
-// Baseline cells, so with checkpointing on, table3 forks those cells from
+// Baseline cells, so with checkpointing on, table3 reads those cells from
 // the checkpoints fig2 published instead of re-simulating them (and every
-// iteration after the first forks everything from the warm cache). "off" is
+// iteration after the first reads everything from the warm cache). "off" is
 // the plain path on the identical workload; the ratio of the two is the
 // speedup recorded in BENCH_*.json.
 func BenchmarkSweepPrefixSharing(b *testing.B) {
@@ -129,6 +130,31 @@ func BenchmarkSweepPrefixSharing(b *testing.B) {
 		b.ReportMetric(float64(s.Hits)/float64(b.N), "ckpt_hits/op")
 		b.ReportMetric(float64(s.Misses)/float64(b.N), "ckpt_misses/op")
 	})
+}
+
+// BenchmarkMemoHit is one warm cell of fig2 as a sweep executes it: derive
+// the point's key, read the stored metrics from the memory tier, open them,
+// build the Result. It is all that is left of a cell whose answer is known.
+func BenchmarkMemoHit(b *testing.B) {
+	ckptcache.Flush()
+	defer ckptcache.Flush()
+	pol := CheckpointPolicy{Enabled: true, Dir: b.TempDir()}
+	cfg := Config{Workload: "pagerank", Cores: benchOpt.Cores, Scale: benchOpt.Scale, System: SystemBaseline}
+	ctx := context.Background()
+	if _, err := newSimPoint(sweepMeta{}, cfg, pol).run(ctx); err != nil { // publishes
+		b.Fatal(err)
+	}
+	ResetCheckpointStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := newSimPoint(sweepMeta{}, cfg, pol).run(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s := GetCheckpointStats(); s.Hits != uint64(b.N) || s.Misses != 0 {
+		b.Fatalf("%d iterations made %d hits and %d misses", b.N, s.Hits, s.Misses)
+	}
 }
 
 // BenchmarkSimulatorThroughput measures raw replay speed (records/sec) of

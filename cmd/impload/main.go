@@ -80,8 +80,8 @@ type Snapshot struct {
 	ExecutedDelta uint64 `json:"executed_delta"`
 	Recomputes    uint64 `json:"recomputes"`
 	// Checkpointed-sweep deltas over the run (all zero with checkpointing
-	// off): points forked from restored checkpoints, shared replays
-	// simulated cold, and simulated cycles the forks did not re-execute.
+	// off): points answered from checkpoints, shared replays simulated
+	// cold, and simulated cycles the hits did not re-execute.
 	// Part of the recompute audit — hits are work the fleet *avoided*, one
 	// layer below the job-level dedup the counters above account for.
 	CheckpointHitsDelta   uint64 `json:"checkpoint_hits_delta,omitempty"`

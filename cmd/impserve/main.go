@@ -22,8 +22,8 @@
 // enable per-tenant submission quotas (X-Imp-Tenant header, 429 +
 // Retry-After on rejection) and -bulk-threshold tunes which sweeps are
 // classed as bulk for the two-lane queue. -checkpoints turns on prefix
-// sharing: sweep points whose effective simulation is identical fork from
-// one snapshotted replay (cached under -ckpt-dir) instead of each
+// sharing: sweep points whose effective simulation is identical are answered
+// from one replay's stored metrics (cached under -ckpt-dir) instead of each
 // re-simulating it, with byte-identical results.
 //
 // The process drains gracefully on SIGINT/SIGTERM: the listener stops, and

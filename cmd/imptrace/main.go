@@ -204,11 +204,13 @@ func runDecode(args []string, stdout, stderr io.Writer) int {
 }
 
 // sniffSnapshot reads just enough of path to recognize a simulator
-// checkpoint by its magic.
-func sniffSnapshot(path string) (version uint16, ok bool) {
+// checkpoint by its magic, and which kind of blob it holds (a sweep's
+// checkpoint cache holds finished-run metrics; machine snapshots share the
+// envelope).
+func sniffSnapshot(path string) (version uint16, kind sim.BlobKind, ok bool) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, false
+		return 0, 0, false
 	}
 	defer f.Close()
 	head := make([]byte, 16)
@@ -224,8 +226,8 @@ func statFile(path string, dump int, stdout, stderr io.Writer) int {
 		// A checkpoint in a trace flag is an easy mix-up now that sweeps
 		// write both kinds of file; name what the file actually is instead
 		// of a bare bad-magic complaint.
-		if ver, ok := sniffSnapshot(path); ok {
-			fmt.Fprintf(stderr, "imptrace: %s is an IMP simulator checkpoint (snapshot format v%d), not a trace\n", path, ver)
+		if ver, kind, ok := sniffSnapshot(path); ok {
+			fmt.Fprintf(stderr, "imptrace: %s is an IMP simulator checkpoint (%v, snapshot format v%d), not a trace\n", path, kind, ver)
 			return 1
 		}
 		fmt.Fprintln(stderr, "imptrace:", err)

@@ -114,7 +114,7 @@ func TestStatRejectsCheckpointFileClearly(t *testing.T) {
 	// A simulator checkpoint handed to `stat -i` must be named for what it
 	// is, not rejected with a generic bad-magic error.
 	path := filepath.Join(t.TempDir(), "mixup.impsnap")
-	header := []byte{'I', 'M', 'P', 'S', 1, 0, 0, 0} // magic, version=1 LE, flags, reserved
+	header := []byte{'I', 'M', 'P', 'S', 1, 0, 1, 0} // magic, version=1 LE, kind=metrics, reserved
 	if err := os.WriteFile(path, append(header, []byte("payload")...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestStatRejectsCheckpointFileClearly(t *testing.T) {
 		t.Fatalf("exit %d, want 1", code)
 	}
 	if !strings.Contains(errb, "checkpoint") || !strings.Contains(errb, "not a trace") ||
-		!strings.Contains(errb, "snapshot format v1") {
+		!strings.Contains(errb, "snapshot format v1") || !strings.Contains(errb, "finished-run metrics") {
 		t.Errorf("unhelpful error for checkpoint file: %q", errb)
 	}
 }

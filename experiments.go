@@ -1,7 +1,6 @@
 package imp
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -146,16 +145,7 @@ func (r *runner) sweep(points []expPoint) ([]*Result, error) {
 		cfg.Cores = r.opt.Cores
 		cfg.Scale = r.opt.Scale
 		cfg.Seed = ExpSeed(r.opt.Seed, p.workload)
-		pts[i] = simPoint{
-			meta: sweepMeta{experiment: r.id, workload: p.workload, system: cfg.System},
-			run: func(ctx context.Context) (*Result, error) {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				return runCfg(cfg, r.opt.Checkpoints)
-			},
-		}
-		pts[i].prefixKey, pts[i].runPrefix = prefixFor(cfg, r.opt.Checkpoints)
+		pts[i] = newSimPoint(sweepMeta{experiment: r.id, workload: p.workload, system: cfg.System}, cfg, r.opt.Checkpoints)
 	}
 	return sweepSim(r.opt.ctx(nil), r.opt.RunOptions, pts, r.opt.Progress)
 }

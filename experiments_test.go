@@ -191,7 +191,10 @@ func TestCorruptCheckpointEvictsAndColdStarts(t *testing.T) {
 	defer ckptcache.Flush()
 	dir := t.TempDir()
 	cfg := Config{Workload: "spmv", Cores: 4, Scale: 0.05, System: SystemBaseline}
-	pol := CheckpointPolicy{Enabled: true, Dir: dir}
+	key, err := checkpointKey(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pristine, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +202,7 @@ func TestCorruptCheckpointEvictsAndColdStarts(t *testing.T) {
 
 	// Populate the cache, then corrupt every checkpoint on disk and drop the
 	// in-memory copies so the next run must read the poisoned bytes.
-	if _, err := runCfg(cfg, pol); err != nil {
+	if _, err := runCfg(cfg, key, dir); err != nil {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.impsnap"))
@@ -213,7 +216,7 @@ func TestCorruptCheckpointEvictsAndColdStarts(t *testing.T) {
 	}
 	ckptcache.Flush()
 
-	res, err := runCfg(cfg, pol)
+	res, err := runCfg(cfg, key, dir)
 	if err != nil {
 		t.Fatalf("corrupt checkpoint failed the run instead of cold-starting: %v", err)
 	}
@@ -227,7 +230,7 @@ func TestCorruptCheckpointEvictsAndColdStarts(t *testing.T) {
 		// The cold start re-published a fresh checkpoint under the same key;
 		// it must now restore cleanly.
 		ckptcache.Flush()
-		if _, err := runCfg(cfg, pol); err != nil {
+		if _, err := runCfg(cfg, key, dir); err != nil {
 			t.Errorf("re-published checkpoint unusable: %v", err)
 		}
 	}

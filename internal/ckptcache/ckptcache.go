@@ -1,9 +1,10 @@
 // Package ckptcache stores simulator checkpoints through a two-level cache
-// mirroring the trace cache (internal/progcache): an in-process LRU of
-// snapshot blobs (a sweep's leaves fork from a prefix their group just
-// simulated) and an on-disk store (repeated sweeps across jobs — and, via
-// result replication, eventually the fleet — reuse prefixes across
-// processes).
+// mirroring the trace cache (internal/progcache): an in-process LRU of blobs
+// (a sweep's leaves read what their group just simulated) and an on-disk
+// store (repeated sweeps across jobs — and, via result replication,
+// eventually the fleet — reuse answers across processes). What the imp
+// package checkpoints is a finished cell's metrics, some 150 bytes sealed by
+// internal/sim; the cache takes any blob.
 //
 // The disk location is chosen as follows:
 //
@@ -14,12 +15,12 @@
 //     <temp dir>/impsim-checkpoints when no user cache dir exists.
 //
 // Keys are content addresses derived by the caller (the imp package covers
-// the trace identity, the effective simulated system, and the trace,
-// generator and snapshot format versions), so a stale entry can only be a
-// corrupted one — and blobs carry their own CRC'd envelope, verified when
-// the simulator restores them. The cache itself stays byte-agnostic: a blob
-// that fails to restore is Evicted by the caller (counted in
-// Stats.Corrupt) and the point cold-starts, so corruption never produces a
+// the trace identity, the effective simulated system, the model version and
+// the trace, generator and snapshot format versions), so a stale entry can
+// only be a corrupted one — and blobs carry their own CRC'd envelope,
+// verified when the simulator opens them. The cache itself stays
+// byte-agnostic: a blob that fails to open is Evicted by the caller (counted
+// in Stats.Corrupt) and the point cold-starts, so corruption never produces a
 // wrong result. Files are written via temp-file-and-rename, so concurrent
 // processes never observe partial checkpoints.
 package ckptcache
@@ -33,12 +34,14 @@ import (
 // EnvDir is the environment variable overriding the disk cache directory.
 const EnvDir = "IMP_CKPT_CACHE"
 
-// Memory-layer bounds. Snapshots are a few MB at test scale and tens of MB
-// for full 64-core systems, so the byte cap is what usually binds; the
-// entry cap keeps pathological tiny-blob floods bounded too.
+// Memory-layer bounds. A cell's sealed metrics are ~150 bytes, so every cell
+// of every table (13 tables x 7 kernels x a handful of systems) fits many
+// times over and repeated sweeps are answered from memory; neither cap binds
+// unless a process sees tens of thousands of distinct cells, or is handed
+// machine snapshots (hundreds of KB each), which the byte cap bounds.
 const (
-	maxMemEntries = 64
-	maxMemBytes   = 512 << 20
+	maxMemEntries = 1 << 16
+	maxMemBytes   = 64 << 20
 )
 
 // Stats counts cache outcomes since process start (or the last Flush).
@@ -51,7 +54,7 @@ type Stats struct {
 	// or unusable.
 	DiskSkips uint64
 	// Corrupt counts entries evicted through Evict — blobs the simulator
-	// refused to restore (CRC mismatch, truncation, geometry drift). The
+	// refused to open (CRC mismatch, truncation, version or kind drift). The
 	// caller falls back to a cold start, never a wrong result.
 	Corrupt uint64
 }
@@ -130,7 +133,7 @@ func Put(key, dir string, data []byte) {
 }
 
 // Evict drops key from memory and disk. Callers use it when a blob fails
-// to restore, so the next request rebuilds instead of re-tripping on the
+// to open, so the next request rebuilds instead of re-tripping on the
 // same poisoned bytes; each call is counted in Stats.Corrupt.
 func Evict(key, dir string) {
 	mu.Lock()

@@ -91,16 +91,43 @@ func TestEvictDropsBothLayers(t *testing.T) {
 }
 
 func TestMemLRUEviction(t *testing.T) {
+	mb := make([]byte, 1<<20) // one blob put under many keys: the cap counts it each time
+	for name, c := range map[string]struct {
+		puts int
+		blob []byte
+	}{
+		"entry cap": {maxMemEntries + 8, []byte{1}},
+		"byte cap":  {maxMemBytes>>20 + 8, mb},
+	} {
+		Flush()
+		// Disk off: eviction must actually lose the oldest entries.
+		for i := 0; i < c.puts; i++ {
+			Put(fmt.Sprintf("k%06d", i), "off", c.blob)
+		}
+		if _, ok := Get("k000000", "off"); ok {
+			t.Errorf("%s: oldest entry survived past it", name)
+		}
+		if _, ok := Get(fmt.Sprintf("k%06d", c.puts-1), "off"); !ok {
+			t.Errorf("%s: newest entry was evicted", name)
+		}
+	}
+	Flush()
+}
+
+// TestMemHoldsAWholeEvaluation: the memory tier is sized for what sweeps
+// store in it — a cell's sealed metrics, ~150 bytes. Every cell of a full
+// evaluation (13 tables x 7 kernels x up to 5 systems) stays in memory, so a
+// repeated sweep is answered without touching the disk.
+func TestMemHoldsAWholeEvaluation(t *testing.T) {
 	Flush()
 	defer Flush()
-	// Disk off: eviction must actually lose the oldest entries.
-	for i := 0; i < maxMemEntries+8; i++ {
-		Put(fmt.Sprintf("k%03d", i), "off", []byte{byte(i)})
+	const cells = 13 * 7 * 5
+	for i := 0; i < cells; i++ {
+		Put(fmt.Sprintf("cell%04d", i), "off", make([]byte, 150))
 	}
-	if _, ok := Get("k000", "off"); ok {
-		t.Error("oldest entry survived past the entry cap")
-	}
-	if _, ok := Get(fmt.Sprintf("k%03d", maxMemEntries+7), "off"); !ok {
-		t.Error("newest entry was evicted")
+	for i := 0; i < cells; i++ {
+		if _, ok := Get(fmt.Sprintf("cell%04d", i), "off"); !ok {
+			t.Fatalf("cell %d of %d fell out of the memory tier", i, cells)
+		}
 	}
 }

@@ -67,7 +67,9 @@ func (e *Entry) Overflowed() bool { return e.overflow }
 // Action describes the coherence work a request triggers. The simulator
 // sends one invalidation message per entry of Invalidate (or a broadcast to
 // all other cores when Broadcast is set), waits for Acks acknowledgements,
-// and downgrades/flushes DowngradeOwner if it is >= 0.
+// and downgrades/flushes DowngradeOwner if it is >= 0. Invalidate is storage
+// the Directory owns and reuses: it is valid until the next call on the
+// Directory that returned the Action.
 type Action struct {
 	Invalidate     []int // precise cores to invalidate
 	Broadcast      bool  // ACKwise overflow: invalidate all cores except requester
@@ -116,6 +118,8 @@ type Directory struct {
 	dead int // slotTomb count
 	//imp:nosnap the free-list entry the table came in, if any, reused to hand it back on Release
 	listed *table
+	//imp:nosnap scratch behind Action.Invalidate, dead once the caller has applied the Action
+	inv [maxK]int
 }
 
 const initialSlots = 256
@@ -367,7 +371,7 @@ func (d *Directory) Write(lineID uint64, core int) Action {
 		if int(e.owner) != core {
 			act.DowngradeOwner = int(e.owner)
 			act.WritebackDirty = true
-			act.Invalidate = []int{int(e.owner)}
+			act.Invalidate = append(d.inv[:0], int(e.owner))
 			act.Acks = 1
 			d.stats.InvalidationsSent++
 		}
@@ -384,6 +388,7 @@ func (d *Directory) Write(lineID uint64, core int) Action {
 			d.stats.Broadcasts++
 			d.stats.InvalidationsSent += uint64(d.numCores - 1)
 		} else {
+			act.Invalidate = d.inv[:0]
 			for _, s := range e.sharers[:e.ns] {
 				if int(s) != core {
 					act.Invalidate = append(act.Invalidate, int(s))
@@ -432,7 +437,7 @@ func (d *Directory) EvictL2(lineID uint64) Action {
 	e := &d.vals[i]
 	switch e.State {
 	case OwnedBy:
-		act.Invalidate = []int{int(e.owner)}
+		act.Invalidate = append(d.inv[:0], int(e.owner))
 		act.Acks = 1
 		act.WritebackDirty = true
 		d.stats.InvalidationsSent++
@@ -443,6 +448,7 @@ func (d *Directory) EvictL2(lineID uint64) Action {
 			d.stats.Broadcasts++
 			d.stats.InvalidationsSent += uint64(d.numCores)
 		} else {
+			act.Invalidate = d.inv[:0]
 			for _, s := range e.sharers[:e.ns] {
 				act.Invalidate = append(act.Invalidate, int(s))
 			}

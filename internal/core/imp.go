@@ -323,7 +323,7 @@ func (m *IMP) disablePattern(idx int) {
 	}
 	for i := range m.ipd {
 		if m.ipd[i].valid && m.ipd[i].ptIndex == idx && m.ipd[i].kind != primary {
-			m.ipd[i] = ipdEntry{}
+			m.ipd[i].release()
 		}
 	}
 }
@@ -504,7 +504,7 @@ func (m *IMP) unlink(v int) {
 	// Drop IPD entries pointing at v.
 	for i := range m.ipd {
 		if m.ipd[i].valid && (m.ipd[i].ptIndex == v || m.ipd[i].parentPT == v) {
-			m.ipd[i] = ipdEntry{}
+			m.ipd[i].release()
 		}
 	}
 	if m.gp != nil {

@@ -66,9 +66,14 @@ func (m *IMP) ipdStep(e *ipdEntry, value uint64) {
 	}
 	// Third distinct index without a match: give up and back off.
 	owner := e.ptIndex
-	*e = ipdEntry{}
+	e.release()
 	m.registerFailure(owner)
 }
+
+// release frees the slot. It keeps the slot's baseaddrs storage for the
+// next detector armed in it (ipdEnsure clears it); a snapshot writes nothing
+// of a free slot, so the kept storage is invisible to it.
+func (e *ipdEntry) release() { *e = ipdEntry{baseaddrs: e.baseaddrs} }
 
 // ipdEnsure allocates a detector for (owner, kind) with first index value
 // if none is live and a free IPD slot exists. The caller is responsible
@@ -81,9 +86,15 @@ func (m *IMP) ipdEnsure(owner int, kind indType, value uint64) {
 		if m.ipd[i].valid {
 			continue
 		}
+		b := m.ipd[i].baseaddrs
+		if b == nil {
+			b = make([]uint64, len(m.p.Shifts)*m.p.BaseAddrArrayLen)
+		} else {
+			clear(b)
+		}
 		m.ipd[i] = ipdEntry{
 			valid: true, ptIndex: owner, parentPT: owner, kind: kind, idx1: value,
-			baseaddrs: make([]uint64, len(m.p.Shifts)*m.p.BaseAddrArrayLen),
+			baseaddrs: b,
 		}
 		return
 	}
@@ -167,7 +178,7 @@ func (m *IMP) predictedByAnyPattern(addr mem.Addr) bool {
 // the detector entry.
 func (m *IMP) detect(ipdIdx int, shift int8, base uint64) {
 	e := m.ipd[ipdIdx]
-	m.ipd[ipdIdx] = ipdEntry{}
+	m.ipd[ipdIdx].release()
 	owner := e.ptIndex
 	if owner < 0 || owner >= len(m.pt) || !m.pt[owner].valid {
 		return

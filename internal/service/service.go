@@ -80,8 +80,8 @@ type Config struct {
 	BulkThreshold int
 	// Checkpoints, when enabled, lets jobs share simulation prefixes
 	// through the checkpoint cache: sweep points with identical effective
-	// simulations fork from one snapshotted replay instead of each
-	// re-simulating it. Results are byte-identical either way.
+	// simulations are answered from one replay's stored metrics instead of
+	// each re-simulating it. Results are byte-identical either way.
 	Checkpoints imp.CheckpointPolicy
 }
 
@@ -275,11 +275,11 @@ func (s *Service) initMetrics() {
 		func() float64 { return float64(s.store.stats().Corrupt) })
 	// Checkpointed-sweep counters. The imp package counts process-wide (one
 	// checkpoint cache per process), which is exactly the service's scope.
-	r.CounterFunc("imp_service_checkpoint_hits_total", "Sweep points forked from a restored simulation checkpoint.",
+	r.CounterFunc("imp_service_checkpoint_hits_total", "Sweep points answered from a checkpoint (a finished simulation's stored metrics).",
 		func() float64 { return float64(imp.GetCheckpointStats().Hits) })
 	r.CounterFunc("imp_service_checkpoint_misses_total", "Shared replays simulated cold and published to the checkpoint cache.",
 		func() float64 { return float64(imp.GetCheckpointStats().Misses) })
-	r.CounterFunc("imp_service_prefix_cycles_saved_total", "Simulated cycles restored from checkpoints instead of re-simulated.",
+	r.CounterFunc("imp_service_prefix_cycles_saved_total", "Simulated cycles read from checkpoints instead of re-simulated.",
 		func() float64 { return float64(imp.GetCheckpointStats().PrefixCyclesSaved) })
 }
 

@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"encoding/binary"
-	"hash/crc32"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -38,20 +37,9 @@ func fuzzConfig() Config {
 	return cfg
 }
 
-// envelope wraps payload in a valid snapshot frame (magic, version, flags,
-// CRC) so fuzz inputs reach the component restore paths behind the
-// integrity checks instead of dying at the CRC gate.
-func envelope(payload []byte) []byte {
-	out := make([]byte, 0, snapshotHeaderLen+len(payload)+4)
-	out = append(out, snapshotMagic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, SnapshotFormatVersion)
-	out = append(out, 0, 0)
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-}
-
 // FuzzRestore feeds Restore arbitrary bytes, both raw and re-enveloped with
-// a valid header and CRC. The contract: corrupt input must produce an
+// a valid header and CRC (so inputs reach the component restore paths behind
+// the integrity checks instead of dying at the CRC gate). The contract: corrupt input must produce an
 // error, never a panic, an unbounded allocation or a runaway loop; input
 // that happens to decode must yield a system whose accessors work.
 func FuzzRestore(f *testing.F) {
@@ -80,7 +68,7 @@ func FuzzRestore(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tryRestore(t, prog, cfg, data)
-		tryRestore(t, prog, cfg, envelope(data))
+		tryRestore(t, prog, cfg, seal(BlobMachine, data))
 	})
 }
 
@@ -98,4 +86,31 @@ func tryRestore(t *testing.T, prog *trace.Program, cfg Config, data []byte) {
 	if _, err := sys.Snapshot(); err != nil {
 		t.Fatalf("restored system cannot re-snapshot: %v", err)
 	}
+}
+
+// FuzzOpenMetrics feeds OpenMetrics arbitrary bytes, raw and re-enveloped
+// like FuzzRestore's. Damaged input must be an error, never a panic or an
+// allocation sized by the input's say-so; input that opens is a fuzzCores-core
+// run's metrics and survives another seal and open unchanged.
+func FuzzOpenMetrics(f *testing.F) {
+	valid := SealMetrics(filledMetrics(f, fuzzCores))
+	f.Add(valid)
+	f.Add(valid[snapshotHeaderLen : len(valid)-4])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, seal(BlobMetrics, data)} {
+			m, err := OpenMetrics(in, fuzzCores)
+			if err != nil {
+				continue
+			}
+			if len(m.PerCoreCycles) != fuzzCores {
+				t.Fatalf("opened metrics of %d cores, asked for %d", len(m.PerCoreCycles), fuzzCores)
+			}
+			again, err := OpenMetrics(SealMetrics(m), fuzzCores)
+			if err != nil || !reflect.DeepEqual(again, m) {
+				t.Fatalf("opened metrics do not survive a reseal (err %v):\n  first:  %+v\n  second: %+v", err, m, again)
+			}
+		}
+	})
 }

@@ -1,7 +1,7 @@
 //go:build ignore
 
-// gen_fuzz_corpus regenerates the committed seed corpus for FuzzRestore
-// (fuzz_test.go):
+// gen_fuzz_corpus regenerates the committed seed corpora for FuzzRestore and
+// FuzzOpenMetrics (fuzz_test.go):
 //
 //	cd internal/sim && go run gen_fuzz_corpus.go
 //
@@ -52,6 +52,22 @@ func main() {
 		log.Fatal(err)
 	}
 
+	writeSeeds("FuzzRestore", valid)
+
+	m, err := sys.Finish()
+	if err != nil {
+		log.Fatal(err)
+	}
+	sealed := sim.SealMetrics(m)
+	writeSeeds("FuzzOpenMetrics", sealed)
+	otherKind := append([]byte(nil), sealed...)
+	otherKind[6] = byte(sim.BlobMachine)
+	writeSeed("FuzzOpenMetrics", "seed-other-kind", otherKind)
+}
+
+// writeSeeds writes valid and the standard damage done to it as target's
+// corpus.
+func writeSeeds(target string, valid []byte) {
 	seeds := map[string][]byte{
 		"seed-valid":       valid,
 		"seed-empty":       nil,
@@ -72,16 +88,19 @@ func main() {
 		mut[off] ^= 0x80
 		seeds[fmt.Sprintf("seed-flip-%d", i)] = mut
 	}
+	for name, data := range seeds {
+		writeSeed(target, name, data)
+	}
+	fmt.Printf("wrote %d seeds for %s (%d valid bytes)\n", len(seeds), target, len(valid))
+}
 
-	dir := filepath.Join("testdata", "fuzz", "FuzzRestore")
+func writeSeed(target, name string, data []byte) {
+	dir := filepath.Join("testdata", "fuzz", target)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	for name, data := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			log.Fatal(err)
-		}
+	body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("wrote %d seeds for FuzzRestore (%d-byte valid snapshot)\n", len(seeds), len(valid))
 }

@@ -6,6 +6,12 @@ import (
 	"github.com/impsim/imp/internal/trace"
 )
 
+// ModelVersion names the numbers this simulator produces. Bump it in the
+// change that moves any golden table (testdata/golden_*.json): stored answers
+// are keyed by it, so the bump is what stops a disk cache filled by the old
+// model from serving the old model's cycles.
+const ModelVersion = 1
+
 // KindStats aggregates per-access-kind outcomes (stream / indirect / other),
 // feeding Fig 1 (miss breakdown) and Fig 2 (stall attribution).
 type KindStats struct {
@@ -32,7 +38,8 @@ func (k KindStats) rawMisses() uint64 { return k.Misses + k.CoveredMisses + k.La
 // Metrics is everything one simulation run reports.
 type Metrics struct {
 	Cycles int64 // runtime: max core finish time
-	//imp:nosnap produced by collect at the end of a run, never live mid-run
+	// PerCoreCycles is produced by collect at the end of a run: nil mid-run
+	// and in a machine snapshot, present in sealed finished metrics.
 	PerCoreCycles []int64
 	Instructions  uint64
 	SpinCycles    int64 // busy-wait instructions charged at barriers

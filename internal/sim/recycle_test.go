@@ -129,7 +129,7 @@ func TestRecycledBuildEqualsFreshBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := blob[snapshotHeaderLen : len(blob)-4]
-	if _, err := Restore(p16.Source(), steps[0].cfg, envelope(payload[:len(payload)*3/4])); err == nil {
+	if _, err := Restore(p16.Source(), steps[0].cfg, seal(BlobMachine, payload[:len(payload)*3/4])); err == nil {
 		t.Fatal("Restore accepted a truncated payload")
 	}
 
@@ -207,6 +207,71 @@ func TestRecycledRunAllocatesNoStorage(t *testing.T) {
 	}
 }
 
+// sharingProgram is rounds of: an A[B[i]] scan whose indices repeat, so the
+// IMP's detectors keep being armed, failing and re-armed; every core reading
+// the same lines (more sharers than the directory tracks precisely on the
+// first, a precise pair on the second); then one core storing to them. Every
+// round touches the same lines, so a longer program grows no table.
+func sharingProgram(cores, rounds int) *trace.Program {
+	s := mem.NewSpace()
+	b := s.AllocInt32("B", cores*64)
+	x := uint64(424243)
+	for i := range b.Int32s() {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		b.Int32s()[i] = int32(x % (1 << 12))
+	}
+	a := s.AllocFloat64("A", 1<<12)
+	shared := s.AllocInt64("shared", 16)
+	var traces []*trace.Trace
+	for c := 0; c < cores; c++ {
+		tb := trace.NewBuilder()
+		for r := 0; r < rounds; r++ {
+			for i := c * 64; i < (c+1)*64; i++ {
+				tb.Load(1, b.Addr(i), 4, trace.KindStream)
+				tb.LoadDep(2, a.Addr(int(b.Int32s()[i])), 8, trace.KindIndirect)
+			}
+			tb.Load(3, shared.Addr(0), 8, trace.KindOther)
+			if c < 2 {
+				tb.Load(4, shared.Addr(8), 8, trace.KindOther)
+			}
+			tb.Barrier()
+			if c == r%cores {
+				tb.Store(5, shared.Addr(0), 8, trace.KindOther)
+				tb.Store(6, shared.Addr(8), 8, trace.KindOther)
+			}
+			tb.Barrier()
+		}
+		traces = append(traces, tb.Trace())
+	}
+	return &trace.Program{Space: s, Traces: traces}
+}
+
+// TestReplayAllocatesNothingPerAccess: a run makes its allocations building
+// the machine, none replaying. A trace four times as long, invalidating,
+// broadcasting and re-arming detectors four times as often, allocates no
+// more.
+func TestReplayAllocatesNothingPerAccess(t *testing.T) {
+	if recycle.Lossy {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection may empty the lists
+	cfg := DefaultConfig(16)
+	cfg.Prefetcher = PrefetchIMP
+	short, long := sharingProgram(16, 8), sharingProgram(16, 32)
+	m := run(t, long, cfg) // fills the free lists with tables grown to this footprint
+	if m.Invalidations == 0 || m.Broadcasts == 0 || m.IMPPatterns == 0 {
+		t.Fatalf("the trace does not exercise the sites under test: %v invalidations, %v broadcasts, %v patterns",
+			m.Invalidations, m.Broadcasts, m.IMPPatterns)
+	}
+	shortAllocs := testing.AllocsPerRun(3, func() { run(t, short, cfg) })
+	longAllocs := testing.AllocsPerRun(3, func() { run(t, long, cfg) })
+	if longAllocs > shortAllocs {
+		t.Errorf("a 4x longer replay made %v allocations against %v: replay allocates per access", longAllocs, shortAllocs)
+	}
+}
+
 // TestRecycledMetricsAreIndependent: the Metrics a run hands back shares
 // nothing with the system, whose storage the next run takes over.
 func TestRecycledMetricsAreIndependent(t *testing.T) {
@@ -260,8 +325,8 @@ func BenchmarkBuildRecycled(b *testing.B) {
 	}
 }
 
-// BenchmarkRestore is the fork path of a checkpointed sweep: restore an
-// end-of-run snapshot into recycled storage, then surrender it again.
+// BenchmarkRestore restores an end-of-run machine snapshot into recycled
+// storage, then surrenders it again.
 func BenchmarkRestore(b *testing.B) {
 	src, cfg := benchSystem()
 	sys, err := New(src, cfg)

@@ -13,9 +13,10 @@ import (
 	"github.com/impsim/imp/internal/trace"
 )
 
-// SnapshotFormatVersion is the snapshot encoding version written by
-// System.Snapshot. Restore rejects any other version; bump it whenever any
-// component's snapshot layout changes.
+// SnapshotFormatVersion is the encoding version of everything sealed in the
+// "IMPS" envelope: the machine state System.Snapshot writes and the finished
+// metrics SealMetrics writes. Restore and OpenMetrics reject any other
+// version; bump it whenever any component's snapshot layout changes.
 const SnapshotFormatVersion = 1
 
 var snapshotMagic = [4]byte{'I', 'M', 'P', 'S'}
@@ -24,24 +25,89 @@ var snapshotMagic = [4]byte{'I', 'M', 'P', 'S'}
 // incompatible format version.
 var ErrSnapshotVersion = errors.New("unsupported snapshot format version")
 
-// snapshotHeaderLen is magic + u16 version + flags + reserved; the trailer
+// ErrSnapshotKind is returned (wrapped) when an envelope holds the other kind
+// of blob: a machine handed to OpenMetrics, or metrics handed to Restore.
+var ErrSnapshotKind = errors.New("wrong kind of snapshot blob")
+
+// BlobKind says what an envelope holds. It is the header's flags byte.
+type BlobKind uint8
+
+const (
+	// BlobMachine is a whole machine's state: Snapshot writes it, Restore
+	// reads it.
+	BlobMachine BlobKind = iota
+	// BlobMetrics is a finished run's Metrics: SealMetrics writes it,
+	// OpenMetrics reads it.
+	BlobMetrics
+)
+
+func (k BlobKind) String() string {
+	switch k {
+	case BlobMachine:
+		return "machine snapshot"
+	case BlobMetrics:
+		return "finished-run metrics"
+	}
+	return fmt.Sprintf("unknown blob kind %d", uint8(k))
+}
+
+// snapshotHeaderLen is magic + u16 version + kind + reserved; the trailer
 // is a u32 CRC, mirroring the binary trace envelope.
 const snapshotHeaderLen = 8
 
 // IsSnapshot reports whether data begins with the simulator snapshot magic,
-// and if so which format version wrote it. It never reads past the header,
-// so it is safe to call on an arbitrary file prefix.
-func IsSnapshot(data []byte) (version uint16, ok bool) {
+// and if so which format version wrote it and which kind of blob it holds.
+// It never reads past the header, so it is safe to call on an arbitrary file
+// prefix.
+func IsSnapshot(data []byte) (version uint16, kind BlobKind, ok bool) {
 	if len(data) < snapshotHeaderLen || [4]byte(data[:4]) != snapshotMagic {
-		return 0, false
+		return 0, 0, false
 	}
-	return binary.LittleEndian.Uint16(data[4:6]), true
+	return binary.LittleEndian.Uint16(data[4:6]), BlobKind(data[6]), true
+}
+
+// seal wraps payload in the envelope: magic, u16 format version, kind,
+// reserved, payload, CRC-32 trailer.
+func seal(kind BlobKind, payload []byte) []byte {
+	out := make([]byte, 0, snapshotHeaderLen+len(payload)+4)
+	out = append(out, snapshotMagic[:]...)
+	out = binary.LittleEndian.AppendUint16(out, SnapshotFormatVersion)
+	out = append(out, byte(kind), 0)
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// open checks data's envelope — length, magic, version, kind, CRC — and
+// returns the payload, which aliases data.
+func open(kind BlobKind, data []byte) ([]byte, error) {
+	if len(data) < snapshotHeaderLen+4 {
+		return nil, fmt.Errorf("sim: snapshot truncated (%d bytes)", len(data))
+	}
+	ver, got, ok := IsSnapshot(data)
+	if !ok {
+		return nil, fmt.Errorf("sim: bad magic %q (not an IMP snapshot)", data[:4])
+	}
+	if ver != SnapshotFormatVersion {
+		return nil, fmt.Errorf("sim: %w: snapshot has %d, this build reads %d",
+			ErrSnapshotVersion, ver, SnapshotFormatVersion)
+	}
+	if got != kind {
+		return nil, fmt.Errorf("sim: %w: holds %v, want %v", ErrSnapshotKind, got, kind)
+	}
+	body := data[: len(data)-4 : len(data)-4]
+	want := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if sum := crc32.ChecksumIEEE(body); sum != want {
+		return nil, fmt.Errorf("sim: snapshot CRC mismatch (got %08x, want %08x)", sum, want)
+	}
+	return body[snapshotHeaderLen:], nil
 }
 
 // System is a simulator instance under explicit control: run part of the
 // trace, snapshot the architectural state, restore it into a fresh instance,
-// resume. Run and RunSource stay the one-shot path; System exists so sweeps
-// can execute a shared config prefix once and fork the remainder.
+// resume. Run and RunSource stay the one-shot path, and the one sweeps take:
+// a sweep remembers a finished cell by its metrics (SealMetrics), not by its
+// machine. System is what a mid-run fork point would be cut with, and its
+// snapshot bytes are the state oracle of the storage-recycling tests.
 type System struct {
 	s        *system
 	finished bool
@@ -121,9 +187,8 @@ func (y *System) Cycles() int64 {
 // Snapshot serializes the full architectural state — tile clocks and
 // cursors, L1/L2 contents, directory, NoC and DRAM timing state, prefetcher
 // tables, pipeline windows, accumulated metrics — into a self-contained
-// versioned envelope: magic, u16 format version, flags, reserved, varint
-// payload, CRC-32 trailer (the binary trace format's discipline). The trace
-// itself is not embedded; Restore reattaches to an equivalent Source.
+// versioned envelope (see seal; the binary trace format's discipline). The
+// trace itself is not embedded; Restore reattaches to an equivalent Source.
 func (y *System) Snapshot() ([]byte, error) {
 	if y.finished {
 		return nil, errors.New("sim: system already finished")
@@ -136,13 +201,7 @@ func (y *System) Snapshot() ([]byte, error) {
 	if err := s.snapshot(w); err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, snapshotHeaderLen+w.Len()+4)
-	out = append(out, snapshotMagic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, SnapshotFormatVersion)
-	out = append(out, 0, 0) // flags, reserved
-	out = append(out, w.Data()...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-	return out, nil
+	return seal(BlobMachine, w.Data()), nil
 }
 
 // Restore builds a fresh system over (src, cfg) and overlays a state written
@@ -155,24 +214,12 @@ func Restore(src trace.Source, cfg Config, data []byte) (*System, error) {
 	if err := validateRun(src, cfg); err != nil {
 		return nil, err
 	}
-	if len(data) < snapshotHeaderLen+4 {
-		return nil, fmt.Errorf("sim: snapshot truncated (%d bytes)", len(data))
-	}
-	ver, ok := IsSnapshot(data)
-	if !ok {
-		return nil, fmt.Errorf("sim: bad magic %q (not an IMP snapshot)", data[:4])
-	}
-	if ver != SnapshotFormatVersion {
-		return nil, fmt.Errorf("sim: %w: snapshot has %d, this build reads %d",
-			ErrSnapshotVersion, ver, SnapshotFormatVersion)
-	}
-	body := data[: len(data)-4 : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("sim: snapshot CRC mismatch (got %08x, want %08x)", got, want)
+	payload, err := open(BlobMachine, data)
+	if err != nil {
+		return nil, err
 	}
 	s := build(src, cfg, true)
-	r := snap.NewReader(body[snapshotHeaderLen:])
+	r := snap.NewReader(payload)
 	if err := s.restore(r); err != nil {
 		// Half-overwritten storage is fit to recycle: every build cleans or
 		// overwrites what it takes.
@@ -370,8 +417,64 @@ func advanceStream(st trace.RecordStream, n int) error {
 	return st.Err()
 }
 
-// snapMetrics appends every accumulated metric field. PerCoreCycles is
-// omitted: it is produced by collect at the end of a run, never mid-run.
+// SealMetrics encodes a finished run's metrics, every field of them, in the
+// snapshot envelope. A checkpointed sweep stores this in place of the run:
+// the metrics are all a finished cell is ever asked for.
+func SealMetrics(m *Metrics) []byte {
+	w := snap.NewWriter(256)
+	snapFinished(w, m)
+	return seal(BlobMetrics, w.Data())
+}
+
+// OpenMetrics decodes what SealMetrics wrote for a run on cores cores. Any
+// blob it does not accept — truncated, altered, of another format version,
+// a machine snapshot (ErrSnapshotKind), of another core count — is an error.
+func OpenMetrics(data []byte, cores int) (*Metrics, error) {
+	payload, err := open(BlobMetrics, data)
+	if err != nil {
+		return nil, err
+	}
+	m := new(Metrics)
+	if err := restoreFinished(snap.NewReader(payload), m, cores); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// snapFinished appends what collect returned: the accumulated fields and the
+// per-core finish times.
+func snapFinished(w *snap.Writer, m *Metrics) {
+	w.Int(len(m.PerCoreCycles))
+	for _, c := range m.PerCoreCycles {
+		w.I64(c)
+	}
+	snapMetrics(w, m)
+}
+
+func restoreFinished(r *snap.Reader, m *Metrics, cores int) error {
+	n := r.Count(1) // one varint per core
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if n != cores {
+		return fmt.Errorf("sim: stored metrics are of a %d-core run, config has %d", n, cores)
+	}
+	m.PerCoreCycles = make([]int64, n)
+	for i := range m.PerCoreCycles {
+		m.PerCoreCycles[i] = r.I64()
+	}
+	restoreMetrics(r, m)
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("sim: stored metrics have %d trailing bytes", r.Remaining())
+	}
+	return nil
+}
+
+// snapMetrics appends every field a run accumulates. PerCoreCycles is not
+// one: collect produces it at the end of a run (snapFinished carries it).
 func snapMetrics(w *snap.Writer, m *Metrics) {
 	w.I64(m.Cycles)
 	w.U64(m.Instructions)

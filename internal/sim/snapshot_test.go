@@ -177,8 +177,8 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := IsSnapshot(data); !ok || v != SnapshotFormatVersion {
-		t.Fatalf("IsSnapshot = (%d, %v), want (%d, true)", v, ok, SnapshotFormatVersion)
+	if v, k, ok := IsSnapshot(data); !ok || v != SnapshotFormatVersion || k != BlobMachine {
+		t.Fatalf("IsSnapshot = (%d, %v, %v), want (%d, %v, true)", v, k, ok, SnapshotFormatVersion, BlobMachine)
 	}
 
 	corrupt := func(mutate func([]byte)) []byte {
@@ -199,7 +199,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			t.Errorf("%s corruption: restore accepted the snapshot", name)
 		}
 	}
-	if _, ok := IsSnapshot([]byte("IMPT....")); ok {
+	if _, _, ok := IsSnapshot([]byte("IMPT....")); ok {
 		t.Error("IsSnapshot accepted trace magic")
 	}
 }

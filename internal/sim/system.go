@@ -122,6 +122,8 @@ type system struct {
 	reqScratch []prefetch.Request
 	//imp:nosnap scratch, dead outside one access
 	complScratch []int64
+	//imp:nosnap scratch, dead outside one broadcast: the tiles found holding the line
+	holderScratch []int
 
 	//imp:nosnap Snapshot refuses a system with a pending stream error
 	streamErr error // first record-stream decode failure
@@ -733,12 +735,13 @@ func (s *system) applyCoherence(home, requester int, lineID uint64, act coherenc
 	targets := act.Invalidate
 	if act.Broadcast {
 		s.met.Broadcasts++
-		targets = targets[:0:0]
+		targets = s.holderScratch[:0]
 		for _, t := range s.tiles {
 			if t.id != requester && t.l1.Probe(lineID) != nil {
 				targets = append(targets, t.id)
 			}
 		}
+		s.holderScratch = targets
 		// Broadcast control messages reach every tile regardless of copies.
 		for _, t := range s.tiles {
 			if t.id != requester {
@@ -816,12 +819,13 @@ func (s *system) handleL2Eviction(home int, ev cache.Eviction) {
 	act := s.dir[home].EvictL2(lineID)
 	targets := act.Invalidate
 	if act.Broadcast {
-		targets = targets[:0:0]
+		targets = s.holderScratch[:0]
 		for _, t := range s.tiles {
 			if t.l1.Probe(lineID) != nil {
 				targets = append(targets, t.id)
 			}
 		}
+		s.holderScratch = targets
 	}
 	dirty := ev.State == cache.Modified
 	for _, c := range targets {

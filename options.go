@@ -37,14 +37,17 @@ type RunOptions struct {
 	// points sharing an identical effective simulation (same trace and same
 	// effective system — late-binding IMP prefetch parameters are excluded
 	// from the identity when the system does not instantiate the IMP
-	// prefetcher) run the shared replay once, snapshot it, and fork the
-	// remaining points from the restored state instead of cold-starting
-	// each one. Checkpoints are content-addressed and cached across runs
-	// (internal/ckptcache); results are byte-identical either way.
+	// prefetcher) run the shared replay once, store its finished metrics,
+	// and answer the remaining points — in this sweep and in later ones —
+	// from them instead of simulating each one. Checkpoints are
+	// content-addressed and cached across runs (internal/ckptcache);
+	// results are byte-identical either way.
 	Checkpoints CheckpointPolicy
 }
 
 // CheckpointPolicy configures checkpointed sweep execution (off by default).
+// A checkpoint is a finished simulation's metrics, some 150 bytes: a point
+// that finds one needs no trace and no simulator, only the lookup.
 type CheckpointPolicy struct {
 	// Enabled turns checkpointed execution on.
 	Enabled bool

@@ -41,17 +41,7 @@ func RunSweep(ctx context.Context, cfgs []Config, opt SweepOptions) ([]*Result, 
 		if cfg.Seed == 0 && opt.Seed != 0 {
 			cfg.Seed = ExpSeed(opt.Seed, cfg.Workload)
 		}
-		cfg := cfg
-		pts[i] = simPoint{
-			meta: sweepMeta{workload: cfg.Workload, system: cfg.System},
-			run: func(ctx context.Context) (*Result, error) {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				return runCfg(cfg, opt.Checkpoints)
-			},
-		}
-		pts[i].prefixKey, pts[i].runPrefix = prefixFor(cfg, opt.Checkpoints)
+		pts[i] = newSimPoint(sweepMeta{workload: cfg.Workload, system: cfg.System}, cfg, opt.Checkpoints)
 	}
 	return sweepSim(opt.ctx(ctx), opt.RunOptions, pts, nil)
 }
@@ -79,6 +69,34 @@ type simPoint struct {
 	prefixKey string
 	runPrefix func(ctx context.Context) error
 	run       func(ctx context.Context) (*Result, error)
+}
+
+// newSimPoint resolves cfg (defaults applied) into a sweep point. With
+// checkpointing on, its key — derived once — groups it with the sweep's other
+// points of the same identity: the harness runs ensureCheckpoint once per
+// group, then every leaf. A config that cannot be keyed is not grouped; its
+// leaf runs cold and surfaces the configuration error itself.
+func newSimPoint(meta sweepMeta, cfg Config, pol CheckpointPolicy) simPoint {
+	pt := simPoint{meta: meta}
+	if pol.Enabled {
+		pt.prefixKey, _ = checkpointKey(cfg)
+	}
+	key := pt.prefixKey
+	pt.run = func(ctx context.Context) (*Result, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return runCfg(cfg, key, pol.Dir)
+	}
+	if key != "" {
+		pt.runPrefix = func(ctx context.Context) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return ensureCheckpoint(cfg, key, pol.Dir)
+		}
+	}
+	return pt
 }
 
 // sweepSim is the one adapter between simulation sweeps and the harness:
