@@ -265,7 +265,7 @@ func statFile(path string, dump int, stdout, stderr io.Writer) int {
 				if r.IsBarrier() || r.IsSWPrefetch() {
 					continue
 				}
-				kinds[r.Kind]++
+				kinds[r.Kind()]++
 				coreAccesses++
 			}
 			rs.Advance(len(win))

@@ -420,7 +420,7 @@ func (s *system) finishTile(t *tile) {
 func (s *system) demandAccess(t *tile, r trace.Record) bool {
 	t.instr++
 	now := t.pipe.Gate(t.time, t.instr, r.DependsOnPrev())
-	ks := s.met.kind(r.Kind)
+	ks := s.met.kind(r.Kind())
 	ks.Accesses++
 
 	if s.cfg.Ideal {

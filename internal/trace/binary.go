@@ -1,11 +1,11 @@
 // Binary trace format.
 //
-// Traces replayed at full scale hold millions of 24-byte records per core;
+// Traces replayed at full scale hold millions of 16-byte records per core;
 // rebuilding them from the workload generators dominates experiment setup
 // time. The binary format makes traces cheap to persist and re-load: a
 // versioned container holding the address-space image plus per-core record
 // streams encoded as varint deltas (~6-8 bytes per access record instead
-// of 24), terminated by a CRC.
+// of 16), terminated by a CRC.
 //
 // Layout (all integers little-endian or uvarint/zigzag-varint):
 //
@@ -30,7 +30,7 @@
 //
 // Record encoding, with per-core running (prevAddr, prevPC) state:
 //
-//	u8  flags
+//	u8  flags (Record.Flags without the kind bits 4-5; bits 4-6 are 0)
 //	barrier / gap-only records: uvarint gap — nothing else
 //	access records:
 //	    u8      kind<<6 | (size-1)    (size in 1..64)
@@ -120,8 +120,13 @@ func (p *Program) WriteTo(w io.Writer) (int64, error) {
 
 	// Each core's payload is encoded into a reusable buffer first: the
 	// section header carries its byte length so streaming readers can seek
-	// between cores.
-	var payload []byte
+	// between cores. The buffer is sized once, for the largest core at the
+	// widest record encoding, so appending never regrows it.
+	most := 0
+	for _, t := range p.Traces {
+		most = max(most, len(t.Records))
+	}
+	payload := make([]byte, 0, most*maxEncodedRecord)
 	for _, t := range p.Traces {
 		payload = appendRecords(payload[:0], t.Records)
 		barriers := 0
@@ -192,19 +197,24 @@ func writeRegion(bw *bufio.Writer, putUvarint func(uint64), r *mem.Region) error
 	return nil
 }
 
+// maxEncodedRecord bounds the encoding of one record: the flags and
+// kind/size bytes, a 16-bit gap, a 32-bit PC delta and a 64-bit address
+// delta, each as a varint.
+const maxEncodedRecord = 2 + binary.MaxVarintLen16 + binary.MaxVarintLen32 + binary.MaxVarintLen64
+
 // appendRecords delta-encodes recs onto buf.
 func appendRecords(buf []byte, recs []Record) []byte {
 	var prevAddr uint64
 	var prevPC uint32
 	var tmp [binary.MaxVarintLen64]byte
 	for _, r := range recs {
-		buf = append(buf, r.Flags)
+		buf = append(buf, r.Flags&^kindMask)
 		if r.IsBarrier() || r.IsGapOnly() {
 			n := binary.PutUvarint(tmp[:], uint64(r.Gap))
 			buf = append(buf, tmp[:n]...)
 			continue
 		}
-		buf = append(buf, byte(r.Kind)<<6|byte(r.Size-1))
+		buf = append(buf, byte(r.Kind())<<6|byte(r.Size-1))
 		n := binary.PutUvarint(tmp[:], uint64(r.Gap))
 		buf = append(buf, tmp[:n]...)
 		n = binary.PutVarint(tmp[:], int64(int32(uint32(r.PC)-prevPC)))
@@ -216,6 +226,10 @@ func appendRecords(buf []byte, recs []Record) []byte {
 	}
 	return buf
 }
+
+// encodedFlags are the flag bits an encoded flags byte may carry; the kind
+// travels in its own byte, and bit 6 is never set.
+const encodedFlags = FlagStore | FlagDepPrev | FlagSWPrefetch | FlagBarrier | flagGapOnly
 
 // recordDecoder decodes one core's delta-encoded record stream.
 type recordDecoder struct {
@@ -231,6 +245,9 @@ func (d *recordDecoder) next() (Record, error) {
 	flags, err := d.r.ReadByte()
 	if err != nil {
 		return Record{}, eofToUnexpected(err)
+	}
+	if flags&^encodedFlags != 0 {
+		return Record{}, fmt.Errorf("trace: undefined flag bits %#02x", flags&^encodedFlags)
 	}
 	rec := Record{Flags: flags}
 	if rec.IsBarrier() || rec.IsGapOnly() {
@@ -248,11 +265,12 @@ func (d *recordDecoder) next() (Record, error) {
 	if err != nil {
 		return Record{}, eofToUnexpected(err)
 	}
-	rec.Kind = Kind(ks >> 6)
-	rec.Size = (ks & 0x3f) + 1
-	if rec.Kind > KindIndirect {
-		return Record{}, fmt.Errorf("trace: bad kind %d", rec.Kind)
+	kind := Kind(ks >> 6)
+	if kind > KindIndirect {
+		return Record{}, fmt.Errorf("trace: bad kind %d", kind)
 	}
+	rec.Flags |= kindFlags(kind)
+	rec.Size = (ks & 0x3f) + 1
 	gap, err := binary.ReadUvarint(d.r)
 	if err != nil {
 		return Record{}, eofToUnexpected(err)

@@ -13,10 +13,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/impsim/imp/internal/mem"
 	"github.com/impsim/imp/internal/trace"
+	"github.com/impsim/imp/internal/trace/tracetest"
 	"github.com/impsim/imp/internal/workload"
 )
 
@@ -288,4 +291,64 @@ func mustOpen(t *testing.T, path string) io.Reader {
 		t.Fatal(err)
 	}
 	return bytes.NewReader(data)
+}
+
+// TestUndefinedFlagBitsRejected: bits 4-6 of an encoded flags byte are never
+// written (the kind travels in its own byte, and bit 6 is unused). A record
+// decoded with any of them set would carry a kind its encoding never named,
+// so both decode paths must refuse it.
+func TestUndefinedFlagBitsRejected(t *testing.T) {
+	valid, err := tracetest.EncodeTiny()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if valid[len(valid)-6] != trace.FlagBarrier {
+		t.Fatalf("tiny program's last record flags %#02x, want a barrier", valid[len(valid)-6])
+	}
+	for _, bit := range []byte{1 << 4, 1 << 5, 1 << 6} {
+		bad := tracetest.SetLastFlagBits(valid, bit)
+		if _, err := trace.ReadProgram(bytes.NewReader(bad)); err == nil {
+			t.Errorf("ReadProgram accepted flag bit %#02x", bit)
+		}
+		fs, err := newFS(t, bad)
+		if err != nil {
+			t.Fatalf("indexing: %v", err)
+		}
+		s := fs.Open(fs.Cores() - 1)
+		for w := s.Window(64); len(w) > 0; w = s.Window(64) {
+			s.Advance(len(w))
+		}
+		if s.Err() == nil {
+			t.Errorf("record stream accepted flag bit %#02x", bit)
+		}
+	}
+}
+
+// TestCommittedEncodingDecodesUnchanged: the committed seed corpus holds the
+// tiny program as an earlier build encoded it. It must still decode to the
+// records the Builder makes today and re-encode to the same bytes.
+func TestCommittedEncodingDecodesUnchanged(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReadProgram", "seed-valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	quoted := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+	committed, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatalf("parsing corpus file: %v", err)
+	}
+	got, err := trace.ReadProgram(strings.NewReader(committed))
+	if err != nil {
+		t.Fatalf("decoding committed encoding: %v", err)
+	}
+	want := tracetest.TinyProgram()
+	for c := range want.Traces {
+		if !reflect.DeepEqual(got.Traces[c].Records, want.Traces[c].Records) {
+			t.Fatalf("core %d: committed records differ from today's build", c)
+		}
+	}
+	if again := encode(t, got); string(again) != committed {
+		t.Fatal("re-encoding the committed trace changed its bytes")
+	}
 }

@@ -38,8 +38,9 @@ func addSeeds(f *testing.F) []byte {
 // return an error on any corrupt input — panics and unbounded allocation
 // are the bugs being hunted.
 func FuzzReadProgram(f *testing.F) {
-	addSeeds(f)
+	valid := addSeeds(f)
 	f.Add([]byte{})
+	f.Add(tracetest.SetLastFlagBits(valid, 1<<4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := trace.ReadProgram(bytes.NewReader(data))
 		if err != nil {

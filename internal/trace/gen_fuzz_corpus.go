@@ -42,6 +42,7 @@ func main() {
 		}
 	}
 	write("FuzzReadProgram", "seed-empty", nil)
+	write("FuzzReadProgram", "seed-kindbit", tracetest.SetLastFlagBits(valid, 1<<4))
 	write("FuzzRecordStream", "seed-magic-only", []byte("IMPT"))
 	fmt.Println("wrote seed corpus for FuzzReadProgram and FuzzRecordStream")
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"github.com/impsim/imp/internal/mem"
+	"github.com/impsim/imp/internal/recycle"
 )
 
 // Kind is the ground-truth classification of an access, mirroring the
@@ -43,7 +44,15 @@ func (k Kind) String() string {
 	}
 }
 
-// Flags carried by a record.
+// Flags carried by a record. The flags byte is laid out as
+//
+//	bit 0    FlagStore
+//	bit 1    FlagDepPrev
+//	bit 2    FlagSWPrefetch
+//	bit 3    FlagBarrier
+//	bits 4-5 the access Kind (see Record.Kind)
+//	bit 6    unused, always 0
+//	bit 7    gap-only filler (internal, see IsGapOnly)
 const (
 	// FlagStore marks the access as a write.
 	FlagStore uint8 = 1 << iota
@@ -60,21 +69,34 @@ const (
 	FlagBarrier
 )
 
+// The access Kind lives in bits 4-5 of Flags, which keeps Record at 16
+// bytes. The binary format stores the kind in its own byte instead, so the
+// encoder strips these bits from the flags it writes.
+const (
+	kindShift       = 4
+	kindMask  uint8 = 3 << kindShift
+)
+
+// kindFlags returns k placed in the kind bits of a flags byte.
+func kindFlags(k Kind) uint8 { return uint8(k) << kindShift & kindMask }
+
 // PC identifies a static instruction site. Workloads allocate small dense
 // ids so prefetcher tables can key on them exactly as hardware keys on
 // instruction addresses.
 type PC uint32
 
 // Record is one entry of a core's trace. The layout is kept compact
-// (24 bytes) because traces hold millions of records.
+// (16 bytes, no padding) because traces hold millions of records.
 type Record struct {
 	Addr  mem.Addr // virtual byte address of the access
 	PC    PC       // static instruction site
 	Gap   uint16   // non-memory instructions executed before this access
-	Flags uint8
-	Kind  Kind
-	Size  uint8 // access size in bytes (1..8)
+	Flags uint8    // Flag* bits and the access kind; see the layout above
+	Size  uint8    // access size in bytes (1..8)
 }
+
+// Kind returns the record's ground-truth access kind.
+func (r Record) Kind() Kind { return Kind((r.Flags & kindMask) >> kindShift) }
 
 // IsStore reports whether the record is a write.
 func (r Record) IsStore() bool { return r.Flags&FlagStore != 0 }
@@ -99,7 +121,7 @@ func (r Record) String() string {
 	if r.IsSWPrefetch() {
 		op = "PF"
 	}
-	return fmt.Sprintf("%s pc=%d addr=%v size=%d kind=%s gap=%d", op, r.PC, r.Addr, r.Size, r.Kind, r.Gap)
+	return fmt.Sprintf("%s pc=%d addr=%v size=%d kind=%s gap=%d", op, r.PC, r.Addr, r.Size, r.Kind(), r.Gap)
 }
 
 // Instructions returns the number of dynamic instructions the record
@@ -146,20 +168,54 @@ func (t *Trace) KindCounts() map[Kind]uint64 {
 		if r.IsBarrier() || r.IsSWPrefetch() {
 			continue
 		}
-		m[r.Kind]++
+		m[r.Kind()]++
 	}
 	return m
 }
 
+// chunkRecords is the length of the fixed-size chunks a Builder fills.
+// Appending to one growing slice would allocate several times the trace's
+// final size on the way (a large slice grows by about a quarter at a time);
+// chunks are filled in place and copied once, into an exact-size slice.
+const chunkRecords = 8192
+
+// chunks recycles Builder chunks across traces: a chunk goes back here when
+// its trace is finished, so building a program allocates little beyond the
+// final record slices.
+var chunks recycle.List[[]Record]
+
 // Builder accumulates one core's trace. It implements the instrumentation
 // interface the workloads program against.
 type Builder struct {
-	t          Trace
+	chunks     []*[]Record // every chunk taken, oldest first; cur fills the last
+	cur        []Record    // the last chunk's records so far
 	pendingGap uint64
 }
 
 // NewBuilder returns an empty trace builder.
 func NewBuilder() *Builder { return &Builder{} }
+
+// add appends r to the current chunk, starting a new chunk when it is full.
+func (b *Builder) add(r Record) {
+	if len(b.cur) == cap(b.cur) {
+		b.nextChunk()
+	}
+	b.cur = append(b.cur, r)
+}
+
+// nextChunk closes the current chunk, if any, and takes a fresh one.
+func (b *Builder) nextChunk() {
+	if n := len(b.chunks); n > 0 {
+		*b.chunks[n-1] = b.cur
+	}
+	c := chunks.Get(chunkRecords)
+	if c == nil {
+		s := make([]Record, 0, chunkRecords)
+		c = &s
+	}
+	b.chunks = append(b.chunks, c)
+	b.cur = (*c)[:0]
+}
 
 // flushGap folds the accumulated compute gap into the next record's Gap
 // field. Gaps wider than the 16-bit field spill into gap-only filler
@@ -167,7 +223,7 @@ func NewBuilder() *Builder { return &Builder{} }
 func (b *Builder) flushGap() uint16 {
 	const maxGap = 1<<16 - 1
 	for b.pendingGap > maxGap {
-		b.t.Records = append(b.t.Records, Record{Gap: maxGap, Flags: flagGapOnly})
+		b.add(Record{Gap: maxGap, Flags: flagGapOnly})
 		b.pendingGap -= maxGap
 	}
 	g := uint16(b.pendingGap)
@@ -185,25 +241,26 @@ func (r Record) IsGapOnly() bool { return r.Flags&flagGapOnly != 0 }
 
 // Load appends a load of size bytes at addr.
 func (b *Builder) Load(pc PC, addr mem.Addr, size int, kind Kind) {
-	b.t.Records = append(b.t.Records, Record{
-		Addr: addr, PC: pc, Gap: b.flushGap(), Kind: kind, Size: uint8(size),
+	b.add(Record{
+		Addr: addr, PC: pc, Gap: b.flushGap(), Size: uint8(size),
+		Flags: kindFlags(kind),
 	})
 }
 
 // LoadDep appends a load that depends on the immediately preceding load
 // (an indirect access consuming the just-read index).
 func (b *Builder) LoadDep(pc PC, addr mem.Addr, size int, kind Kind) {
-	b.t.Records = append(b.t.Records, Record{
-		Addr: addr, PC: pc, Gap: b.flushGap(), Kind: kind, Size: uint8(size),
-		Flags: FlagDepPrev,
+	b.add(Record{
+		Addr: addr, PC: pc, Gap: b.flushGap(), Size: uint8(size),
+		Flags: FlagDepPrev | kindFlags(kind),
 	})
 }
 
 // Store appends a store of size bytes at addr.
 func (b *Builder) Store(pc PC, addr mem.Addr, size int, kind Kind) {
-	b.t.Records = append(b.t.Records, Record{
-		Addr: addr, PC: pc, Gap: b.flushGap(), Kind: kind, Size: uint8(size),
-		Flags: FlagStore,
+	b.add(Record{
+		Addr: addr, PC: pc, Gap: b.flushGap(), Size: uint8(size),
+		Flags: FlagStore | kindFlags(kind),
 	})
 }
 
@@ -212,9 +269,9 @@ func (b *Builder) Store(pc PC, addr mem.Addr, size int, kind Kind) {
 // (the paper's §6.1.2 instruction overhead).
 func (b *Builder) SWPrefetch(pc PC, addr mem.Addr, overhead int) {
 	b.Compute(overhead)
-	b.t.Records = append(b.t.Records, Record{
-		Addr: addr, PC: pc, Gap: b.flushGap(), Kind: KindOther, Size: 8,
-		Flags: FlagSWPrefetch,
+	b.add(Record{
+		Addr: addr, PC: pc, Gap: b.flushGap(), Size: 8,
+		Flags: FlagSWPrefetch | kindFlags(KindOther),
 	})
 }
 
@@ -227,19 +284,34 @@ func (b *Builder) Compute(n int) {
 
 // Barrier appends a global synchronization point.
 func (b *Builder) Barrier() {
-	b.t.Records = append(b.t.Records, Record{Gap: b.flushGap(), Flags: FlagBarrier})
+	b.add(Record{Gap: b.flushGap(), Flags: FlagBarrier})
 }
 
 // Trace finalizes and returns the built trace. Any trailing compute gap is
-// attached to a final gap-only record.
+// attached to a final gap-only record. The records are copied into one
+// exact-size slice and the chunks handed back for reuse; the Builder is
+// empty afterwards and may start a new trace.
 func (b *Builder) Trace() *Trace {
 	if b.pendingGap > 0 {
 		g := b.flushGap()
 		if g > 0 {
-			b.t.Records = append(b.t.Records, Record{Gap: g, Flags: flagGapOnly})
+			b.add(Record{Gap: g, Flags: flagGapOnly})
 		}
 	}
-	return &b.t
+	n := len(b.chunks)
+	if n == 0 {
+		return &Trace{}
+	}
+	*b.chunks[n-1] = b.cur
+	recs := make([]Record, (n-1)*chunkRecords+len(b.cur))
+	off := 0
+	for i, c := range b.chunks {
+		off += copy(recs[off:], *c)
+		chunks.Put(chunkRecords, c)
+		b.chunks[i] = nil
+	}
+	b.chunks, b.cur = b.chunks[:0], nil
+	return &Trace{Records: recs}
 }
 
 // Program is a set of per-core traces plus the address space they reference.

@@ -6,7 +6,9 @@ package tracetest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"github.com/impsim/imp/internal/mem"
 	"github.com/impsim/imp/internal/trace"
@@ -68,4 +70,17 @@ func Corruptions(valid []byte) map[string][]byte {
 		"truncated":  valid[:len(valid)/2],
 		"bitflip":    bitflip,
 	}
+}
+
+// SetLastFlagBits returns a copy of a TinyProgram encoding with bits set in
+// the flags byte of the last record and the CRC recomputed, so that only the
+// record decoder can object. TinyProgram ends every core with a barrier
+// after a two-instruction gap: a flags byte then a one-byte uvarint, right
+// before the CRC.
+func SetLastFlagBits(valid []byte, bits byte) []byte {
+	bad := append([]byte(nil), valid...)
+	body := bad[:len(bad)-4]
+	body[len(body)-2] |= bits
+	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(body))
+	return bad
 }
