@@ -11,10 +11,7 @@ package api
 //
 // The same numbers are exported as Prometheus text exposition on
 // GET /metrics (see the README metric table); /v1/stats is the same
-// registry read as one JSON document. Deprecated loose fields: Queued and
-// Running remain as whole-service totals for pre-lane clients — the
-// per-lane fields (QueuedInteractive/QueuedBulk, RunningInteractive/
-// RunningBulk) are the authoritative decomposition.
+// registry read as one JSON document.
 
 // ServiceStats counts one impserve instance's outcomes since start.
 type ServiceStats struct {
@@ -31,10 +28,6 @@ type ServiceStats struct {
 	StoreDiskHits uint64 `json:"store_disk_hits,omitempty"`
 	StoreDiskPuts uint64 `json:"store_disk_puts,omitempty"`
 	StoreCorrupt  uint64 `json:"store_corrupt,omitempty"`
-	// Queued and Running are whole-service totals (deprecated in favor of
-	// the per-lane fields below, kept for pre-lane clients).
-	Queued  int `json:"queued"`
-	Running int `json:"running"`
 	// Per-lane queue depth and occupancy: interactive submissions may not
 	// be starved by bulk sweeps, and these are the numbers that prove it.
 	QueuedInteractive  int `json:"queued_interactive"`

@@ -17,8 +17,9 @@ import (
 // function of its trace and its effective sim configuration, and all a sweep
 // ever asks of a finished point is its metrics. So a finished replay is
 // remembered as exactly that — its sim.Metrics, sealed in internal/sim's
-// versioned, CRC'd envelope, some 150 bytes — and any later point with the
-// same identity is answered from them: no trace, no machine, no replay.
+// versioned, CRC'd envelope, some 150 bytes, which internal/castore's
+// 20-byte envelope wraps again on disk — and any later point with the same
+// identity is answered from them: no trace, no machine, no replay.
 // Identity is content-addressed like results (internal/jobkey) and traces
 // (internal/progcache): the key covers the workload build request, the
 // effective system, the model version, and the trace, generator and snapshot

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/impsim/imp/internal/castore"
 	"github.com/impsim/imp/internal/ckptcache"
 	"github.com/impsim/imp/internal/progcache"
 	"github.com/impsim/imp/internal/sim"
@@ -96,7 +97,7 @@ func TestCheckpointKeyDomain(t *testing.T) {
 	h := sha256.New()
 	fmt.Fprintf(h, "impckpt|fmt%d|gen%d|snap%d|", trace.FormatVersion, workload.GenVersion, sim.SnapshotFormatVersion)
 	h.Write(spec)
-	retired := filepath.Join(dir, hex.EncodeToString(h.Sum(nil)[:12])+".impsnap")
+	retired := filepath.Join(dir, hex.EncodeToString(h.Sum(nil)[:12])+castore.Ext)
 	if err := os.WriteFile(retired, []byte("IMPS a machine snapshot of the old model"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestDamagedCheckpointColdStartsToGolden(t *testing.T) {
 	if got := tableBytes(t, "fig2", opt); !bytes.Equal(got, golden) {
 		t.Fatal("fig2 with checkpointing on differs from golden bytes")
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.impsnap"))
+	files, err := filepath.Glob(filepath.Join(dir, "*"+castore.Ext))
 	if err != nil || len(files) != 6 {
 		t.Fatalf("%d checkpoint files published (err=%v), want fig2's 6 cells", len(files), err)
 	}
@@ -230,6 +231,9 @@ func TestDamagedCheckpointColdStartsToGolden(t *testing.T) {
 		}
 		return blob
 	}
+	// Each case damages the blob inside the file's envelope and seals it
+	// again, so the damage reaches the simulator; a damaged envelope is
+	// castore's to catch (TestCorruptCheckpointEvictsAndColdStarts).
 	damage := []struct {
 		name string
 		do   func([]byte) []byte
@@ -249,7 +253,11 @@ func TestDamagedCheckpointColdStartsToGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(victim, d.do(bytes.Clone(data)), 0o644); err != nil {
+		blob, err := castore.Open(bytes.Clone(data))
+		if err == nil {
+			err = castore.WriteFile(victim, d.do(blob))
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		ckptcache.Flush() // the next run must read the damaged file

@@ -29,6 +29,7 @@ import (
 	"os"
 	"strings"
 
+	"github.com/impsim/imp/internal/castore"
 	"github.com/impsim/imp/internal/progcache"
 	"github.com/impsim/imp/internal/sim"
 	"github.com/impsim/imp/internal/trace"
@@ -206,16 +207,21 @@ func runDecode(args []string, stdout, stderr io.Writer) int {
 // sniffSnapshot reads just enough of path to recognize a simulator
 // checkpoint by its magic, and which kind of blob it holds (a sweep's
 // checkpoint cache holds finished-run metrics; machine snapshots share the
-// envelope).
+// envelope). A checkpoint cache file wraps the blob in castore's envelope,
+// which is looked through.
 func sniffSnapshot(path string) (version uint16, kind sim.BlobKind, ok bool) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, false
 	}
 	defer f.Close()
-	head := make([]byte, 16)
+	head := make([]byte, castore.HeaderLen+16)
 	n, _ := io.ReadFull(f, head)
-	return sim.IsSnapshot(head[:n])
+	head = head[:n]
+	if strings.HasPrefix(string(head), castore.Magic) {
+		head = head[min(n, castore.HeaderLen):]
+	}
+	return sim.IsSnapshot(head)
 }
 
 // statFile streams an encoded trace with bounded memory: records are

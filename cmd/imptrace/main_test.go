@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/impsim/imp/internal/castore"
 )
 
 func runTrace(t *testing.T, args ...string) (stdout, stderr string, code int) {
@@ -112,19 +114,27 @@ func TestDecodeGarbageFile(t *testing.T) {
 
 func TestStatRejectsCheckpointFileClearly(t *testing.T) {
 	// A simulator checkpoint handed to `stat -i` must be named for what it
-	// is, not rejected with a generic bad-magic error.
-	path := filepath.Join(t.TempDir(), "mixup.impsnap")
+	// is, not rejected with a generic bad-magic error — bare, or as the
+	// checkpoint cache stores it, inside castore's envelope.
 	header := []byte{'I', 'M', 'P', 'S', 1, 0, 1, 0} // magic, version=1 LE, kind=metrics, reserved
-	if err := os.WriteFile(path, append(header, []byte("payload")...), 0o644); err != nil {
+	blob := append(header, []byte("payload")...)
+	bare := filepath.Join(t.TempDir(), "mixup.snap")
+	if err := os.WriteFile(bare, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, errb, code := runTrace(t, "stat", "-i", path)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
+	cached := filepath.Join(t.TempDir(), "mixup"+castore.Ext)
+	if err := castore.WriteFile(cached, blob); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(errb, "checkpoint") || !strings.Contains(errb, "not a trace") ||
-		!strings.Contains(errb, "snapshot format v1") || !strings.Contains(errb, "finished-run metrics") {
-		t.Errorf("unhelpful error for checkpoint file: %q", errb)
+	for _, path := range []string{bare, cached} {
+		_, errb, code := runTrace(t, "stat", "-i", path)
+		if code != 1 {
+			t.Fatalf("%s: exit %d, want 1", path, code)
+		}
+		if !strings.Contains(errb, "checkpoint") || !strings.Contains(errb, "not a trace") ||
+			!strings.Contains(errb, "snapshot format v1") || !strings.Contains(errb, "finished-run metrics") {
+			t.Errorf("unhelpful error for checkpoint file %s: %q", path, errb)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/impsim/imp/internal/castore"
 	"github.com/impsim/imp/internal/ckptcache"
 )
 
@@ -205,7 +206,7 @@ func TestCorruptCheckpointEvictsAndColdStarts(t *testing.T) {
 	if _, err := runCfg(cfg, key, dir); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.impsnap"))
+	files, err := filepath.Glob(filepath.Join(dir, "*"+castore.Ext))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no checkpoint files published (err=%v)", err)
 	}

@@ -105,24 +105,15 @@ func (s System) MarshalJSON() ([]byte, error) {
 	return json.Marshal(n)
 }
 
-// UnmarshalJSON accepts a system name ("imp") or a legacy numeric value.
+// UnmarshalJSON accepts a system name ("imp").
 func (s *System) UnmarshalJSON(data []byte) error {
 	var name string
-	if err := json.Unmarshal(data, &name); err == nil {
-		v, perr := ParseSystem(name)
-		if perr != nil {
-			return perr
-		}
-		*s = v
-		return nil
+	if err := json.Unmarshal(data, &name); err != nil {
+		return fmt.Errorf("imp: system must be one of %v: %s", SystemNames(), data)
 	}
-	var num int
-	if err := json.Unmarshal(data, &num); err != nil {
-		return fmt.Errorf("imp: system must be a name or number: %s", data)
-	}
-	v := System(num)
-	if _, ok := systemNames[v]; !ok {
-		return fmt.Errorf("imp: unknown system %d", num)
+	v, err := ParseSystem(name)
+	if err != nil {
+		return err
 	}
 	*s = v
 	return nil
@@ -226,7 +217,7 @@ func (p *Program) Accesses() uint64 { return p.p.TotalAccesses() }
 func (p *Program) Instructions() uint64 { return p.p.TotalInstructions() }
 
 // WriteTo encodes the program in the versioned binary trace format
-// (varint-delta records, ~6-8 bytes per access instead of 24 in memory).
+// (varint-delta records, ~6-8 bytes per access instead of 16 in memory).
 // The same format backs the on-disk trace cache and `imptrace encode`.
 func (p *Program) WriteTo(w io.Writer) (int64, error) { return p.p.WriteTo(w) }
 

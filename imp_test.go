@@ -2,6 +2,7 @@ package imp
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -243,7 +244,7 @@ func TestProgressCallback(t *testing.T) {
 
 // TestSystemJSONRoundTrip pins the serializable-Config contract the
 // experiment service depends on: System marshals as its stable paper name
-// and unmarshals from either a name or a legacy number.
+// and unmarshals from a name only.
 func TestSystemJSONRoundTrip(t *testing.T) {
 	for s := SystemBaseline; s <= SystemNone; s++ {
 		data, err := json.Marshal(s)
@@ -261,11 +262,10 @@ func TestSystemJSONRoundTrip(t *testing.T) {
 			t.Errorf("round trip changed %v to %v", s, back)
 		}
 	}
-	var legacy System
-	if err := json.Unmarshal([]byte("1"), &legacy); err != nil || legacy != SystemIMP {
-		t.Errorf("legacy numeric unmarshal: %v, %v", legacy, err)
-	}
 	var bad System
+	if err := json.Unmarshal([]byte("1"), &bad); err == nil || !strings.Contains(err.Error(), fmt.Sprint(SystemNames())) {
+		t.Errorf("a numeric system unmarshaled (%v), or the error does not list the names: %v", bad, err)
+	}
 	if err := json.Unmarshal([]byte(`"warp-drive"`), &bad); err == nil {
 		t.Error("unknown system name unmarshaled successfully")
 	}

@@ -1,11 +1,16 @@
 package ckptcache
 
+// Tests of the shim: directory resolution and the caps it configures. The
+// store itself is tested in internal/castore.
+
 import (
 	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/impsim/imp/internal/castore"
 )
 
 func TestMemAndDiskRoundTrip(t *testing.T) {
@@ -61,7 +66,7 @@ func TestEnvOverride(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv(EnvDir, dir)
 	Put("k", "", []byte("x"))
-	if _, err := os.Stat(filepath.Join(dir, "k.impsnap")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "k"+castore.Ext)); err != nil {
 		t.Fatalf("checkpoint not under IMP_CKPT_CACHE dir: %v", err)
 	}
 	t.Setenv(EnvDir, "off")
@@ -82,7 +87,7 @@ func TestEvictDropsBothLayers(t *testing.T) {
 	if _, ok := Get("bad", dir); ok {
 		t.Fatal("evicted entry still served")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "bad.impsnap")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "bad"+castore.Ext)); !os.IsNotExist(err) {
 		t.Errorf("evicted file still on disk: %v", err)
 	}
 	if s := GetStats(); s.Corrupt != 1 {
@@ -129,5 +134,17 @@ func TestMemHoldsAWholeEvaluation(t *testing.T) {
 		if _, ok := Get(fmt.Sprintf("cell%04d", i), "off"); !ok {
 			t.Fatalf("cell %d of %d fell out of the memory tier", i, cells)
 		}
+	}
+}
+
+// TestMemHitResolvesNoDir: a memory hit, twice per cell of a warm table,
+// neither reads the environment nor builds the default directory's path.
+func TestMemHitResolvesNoDir(t *testing.T) {
+	Flush()
+	defer Flush()
+	t.Setenv(EnvDir, "") // the default directory is the one whose path allocates
+	Put("k", "off", []byte("x"))
+	if n := testing.AllocsPerRun(100, func() { Get("k", "") }); n != 0 {
+		t.Errorf("a memory hit allocates %v times", n)
 	}
 }

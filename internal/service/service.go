@@ -33,13 +33,14 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/impsim/imp"
 	"github.com/impsim/imp/api"
 	"github.com/impsim/imp/internal/admission"
+	"github.com/impsim/imp/internal/castore"
 	"github.com/impsim/imp/internal/jobkey"
 	"github.com/impsim/imp/internal/metrics"
 )
@@ -61,7 +62,7 @@ type Config struct {
 	// StoreEntries bounds the in-memory result cache (default 256 results).
 	StoreEntries int
 	// ResultsDir, when set, backs the result store with a persistent
-	// directory (one CRC-checked file per key, like the trace cache), so a
+	// directory (one CRC-checked castore file per key), so a
 	// restarted service answers previously computed results without
 	// recompute. Empty keeps the store memory-only. Disk writes are
 	// best-effort: an unusable directory degrades to memory-only behavior
@@ -190,16 +191,10 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	var rs resultStore
-	if cfg.ResultsDir != "" {
-		rs = newDiskStore(cfg.StoreEntries, cfg.ResultsDir)
-	} else {
-		rs = newMemStore(cfg.StoreEntries)
-	}
 	s := &Service{
 		cfg:        cfg,
 		gate:       imp.NewGate(cfg.Parallelism),
-		store:      rs,
+		store:      castore.New(cfg.StoreEntries, 0),
 		limiter:    admission.New(cfg.QuotaRate, cfg.QuotaBurst),
 		baseCtx:    ctx,
 		cancelBase: cancel,
@@ -262,17 +257,17 @@ func (s *Service) initMetrics() {
 			return laneSamples(func(l api.Lane) float64 { return float64(s.running[l]) })
 		})
 	r.CounterFunc("imp_service_store_hits_total", "Result-store hits.",
-		func() float64 { return float64(s.store.stats().Hits) })
+		func() float64 { st := s.store.Stats(); return float64(st.MemHits + st.DiskHits) })
 	r.CounterFunc("imp_service_store_puts_total", "Result-store writes.",
-		func() float64 { return float64(s.store.stats().Puts) })
+		func() float64 { return float64(s.store.Stats().Puts) })
 	r.GaugeFunc("imp_service_store_entries", "Results currently cached in memory.",
-		func() float64 { return float64(s.store.stats().Entries) })
+		func() float64 { return float64(s.store.Stats().Entries) })
 	r.CounterFunc("imp_service_store_disk_hits_total", "Results read from the persistent store layer.",
-		func() float64 { return float64(s.store.stats().DiskHits) })
+		func() float64 { return float64(s.store.Stats().DiskHits) })
 	r.CounterFunc("imp_service_store_disk_puts_total", "Results written to the persistent store layer.",
-		func() float64 { return float64(s.store.stats().DiskPuts) })
+		func() float64 { return float64(s.store.Stats().DiskPuts) })
 	r.CounterFunc("imp_service_store_corrupt_total", "On-disk results evicted for failing their integrity check.",
-		func() float64 { return float64(s.store.stats().Corrupt) })
+		func() float64 { return float64(s.store.Stats().Corrupt) })
 	// Checkpointed-sweep counters. The imp package counts process-wide (one
 	// checkpoint cache per process), which is exactly the service's scope.
 	r.CounterFunc("imp_service_checkpoint_hits_total", "Sweep points answered from a checkpoint (a finished simulation's stored metrics).",
@@ -453,7 +448,7 @@ func (s *Service) SubmitFrom(tenant string, spec api.JobSpec) (api.JobStatus, er
 	// read. The cost is a benign race — a concurrent duplicate submission
 	// can register a live job while we read — so re-check the singleflight
 	// index after relocking before committing either way.
-	data, inStore := s.store.get(key)
+	data, inStore := s.store.Get(key, s.cfg.ResultsDir)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -601,7 +596,7 @@ func (s *Service) Cancel(id string) (api.JobStatus, error) {
 
 // Stats snapshots the service counters — the same values /metrics exports.
 func (s *Service) Stats() api.ServiceStats {
-	ss := s.store.stats()
+	ss := s.store.Stats()
 	cs := imp.GetCheckpointStats()
 	quotaRej := s.mQuotaRej.Total()
 	queueRej := s.mQueueRej.Value()
@@ -610,10 +605,8 @@ func (s *Service) Stats() api.ServiceStats {
 	return api.ServiceStats{
 		Submitted: uint64(s.nextID), Executed: s.executed,
 		Deduped: s.deduped, Cached: s.cached,
-		StoreHits: ss.Hits, StorePuts: ss.Puts, StoreLen: ss.Entries,
+		StoreHits: ss.MemHits + ss.DiskHits, StorePuts: ss.Puts, StoreLen: ss.Entries,
 		StoreDiskHits: ss.DiskHits, StoreDiskPuts: ss.DiskPuts, StoreCorrupt: ss.Corrupt,
-		Queued:             s.queuedLocked(),
-		Running:            s.running[api.LaneInteractive] + s.running[api.LaneBulk],
 		QueuedInteractive:  len(s.qlanes[api.LaneInteractive]),
 		QueuedBulk:         len(s.qlanes[api.LaneBulk]),
 		RunningInteractive: s.running[api.LaneInteractive],
@@ -633,7 +626,7 @@ func (s *Service) StoredResult(key string) ([]byte, bool) {
 	if !jobkey.ValidKey(key) {
 		return nil, false
 	}
-	return s.store.get(key)
+	return s.store.Get(key, s.cfg.ResultsDir)
 }
 
 // StoredKeys lists every key the result store can currently answer, sorted
@@ -641,9 +634,8 @@ func (s *Service) StoredResult(key string) ([]byte, bool) {
 // the improuter front-end enumerates it during ring membership changes to
 // decide which results a joining or leaving backend must receive.
 func (s *Service) StoredKeys() []string {
-	keys := s.store.keys()
-	sort.Strings(keys)
-	return keys
+	// Files named like castore entries but not like result keys are foreign.
+	return slices.DeleteFunc(s.store.Keys(s.cfg.ResultsDir), func(k string) bool { return !jobkey.ValidKey(k) })
 }
 
 // StoreResult publishes a finished result under key without running
@@ -657,7 +649,7 @@ func (s *Service) StoreResult(key string, data []byte) error {
 	if !jobkey.ValidKey(key) {
 		return fmt.Errorf("service: malformed result key %q", key)
 	}
-	s.store.put(key, data)
+	s.store.Put(key, s.cfg.ResultsDir, data)
 	return nil
 }
 
@@ -838,7 +830,7 @@ func (s *Service) execute(ctx context.Context, j *Job) ([]byte, error) {
 // and s.mu are never held together — state first, index second.
 func (s *Service) finishJob(j *Job, data []byte, err error, onlyIfQueued bool) {
 	if err == nil {
-		s.store.put(j.key, data)
+		s.store.Put(j.key, s.cfg.ResultsDir, data)
 	}
 	j.mu.Lock()
 	if j.state.Terminal() || (onlyIfQueued && j.state != api.StateQueued) {

@@ -1,136 +1,23 @@
 package service
 
 import (
-	"container/list"
-	"sync"
-
 	"github.com/impsim/imp/api"
+	"github.com/impsim/imp/internal/castore"
 	"github.com/impsim/imp/internal/jobkey"
 )
 
-// ResultKey derives the content address of a job's result. The definition
-// lives in internal/jobkey — shared with the improuter front-end, which
-// hashes the same key onto its backend ring so every spec is routed to the
-// backend whose store owns that key.
+// ResultKey derives the content address of a job's result (internal/jobkey,
+// which the improuter front-end also hashes onto its backend ring).
 func ResultKey(spec api.JobSpec) (string, error) {
 	return jobkey.ResultKey(spec)
 }
 
-// resultStore is the seam between the Service and its content-addressed
-// result cache: key -> canonical result bytes. Completed jobs publish here;
-// submissions whose key is present are answered without executing anything,
-// and the replication surface (PUT/GET /v1/results/{key}) reads and writes
-// it directly. Implementations: memStore (LRU, in-process only) and
-// diskStore (memStore over a persistent directory, so a restarted backend
-// comes back warm). All methods are safe for concurrent use; callers must
-// treat returned and handed-in byte slices as immutable — they are shared
-// across requests and replicas.
+// resultStore is what the Service uses of its result store, a *castore.Store
+// over Config.ResultsDir: key -> canonical result bytes. It is an interface
+// only so that a test can park a put mid-flight.
 type resultStore interface {
-	get(key string) ([]byte, bool)
-	put(key string, data []byte)
-	// keys lists every key the store can currently answer (memory and, for
-	// the disk-backed store, the persistent directory). The improuter
-	// front-end enumerates it during ring membership changes to bulk-copy
-	// the key ranges a joining or leaving backend hands off.
-	keys() []string
-	stats() storeStats
-}
-
-// storeStats snapshots one store's counters. The disk fields stay zero for
-// the pure in-memory store.
-type storeStats struct {
-	Hits    uint64 // gets served, memory or disk
-	Puts    uint64 // results published via put
-	Entries int    // in-memory entries
-	// DiskHits counts gets that missed memory and were served (and
-	// re-promoted) from the disk layer; DiskPuts counts results persisted;
-	// Corrupt counts on-disk entries that failed their integrity check and
-	// were evicted rather than served.
-	DiskHits uint64
-	DiskPuts uint64
-	Corrupt  uint64
-}
-
-// memStore is the in-memory LRU layer. Eviction is O(1): entries live on an
-// intrusive recency list (front = most recently used) and the map indexes
-// list elements, so evicting beyond the cap pops the back of the list
-// instead of scanning the whole map under the lock (the store grows with
-// replication, and a full scan per put is quadratic under churn).
-type memStore struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List // of *memEntry, most recently used first
-	entries map[string]*list.Element
-	hits    uint64
-	puts    uint64
-}
-
-type memEntry struct {
-	key  string
-	data []byte
-}
-
-func newMemStore(max int) *memStore {
-	if max < 1 {
-		max = 1
-	}
-	return &memStore{max: max, ll: list.New(), entries: make(map[string]*list.Element)}
-}
-
-func (s *memStore) get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	s.hits++
-	return el.Value.(*memEntry).data, true
-}
-
-func (s *memStore) put(key string, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.puts++
-	s.insertLocked(key, data)
-}
-
-// promote refreshes an entry without counting a put — the disk layer uses
-// it to pull disk hits back into memory, which is a cache movement, not a
-// new result.
-func (s *memStore) promote(key string, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.insertLocked(key, data)
-}
-
-func (s *memStore) insertLocked(key string, data []byte) {
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*memEntry).data = data
-		s.ll.MoveToFront(el)
-		return
-	}
-	s.entries[key] = s.ll.PushFront(&memEntry{key: key, data: data})
-	for len(s.entries) > s.max {
-		back := s.ll.Back()
-		delete(s.entries, back.Value.(*memEntry).key)
-		s.ll.Remove(back)
-	}
-}
-
-func (s *memStore) keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.entries))
-	for key := range s.entries {
-		out = append(out, key)
-	}
-	return out
-}
-
-func (s *memStore) stats() storeStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return storeStats{Hits: s.hits, Puts: s.puts, Entries: len(s.entries)}
+	Get(key, dir string) ([]byte, bool)
+	Put(key, dir string, data []byte)
+	Keys(dir string) []string
+	Stats() castore.Stats
 }

@@ -1,7 +1,8 @@
 package service
 
-// Unit tests for the result store layers: LRU semantics of the in-memory
-// store, round-trip/corruption behavior of the disk layer, the
+// Tests for the service's result store (an internal/castore store, whose
+// own tests cover it in depth): how Config.StoreEntries and
+// Config.ResultsDir shape it, what its counters read in /v1/stats, the
 // /v1/results/{key} replication surface, and warm restart from disk.
 
 import (
@@ -19,80 +20,92 @@ import (
 // testKey fabricates a well-formed result key (24 hex chars) from i.
 func testKey(i int) string { return fmt.Sprintf("%024x", i) }
 
-// TestStoreLRUEvictionOrder: eviction removes the least recently *used*
-// entry, with gets counting as use — not merely the oldest put.
+// storeAll publishes each key's payload through the replication surface.
+func storeAll(t *testing.T, svc *Service, kv map[string]string) {
+	t.Helper()
+	for k, v := range kv {
+		if err := svc.StoreResult(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStoreLRUEvictionOrder: Config.StoreEntries caps the memory tier, and
+// eviction removes the least recently *used* result, with gets counting as
+// use — not merely the oldest put.
 func TestStoreLRUEvictionOrder(t *testing.T) {
-	s := newMemStore(3)
+	svc, _ := startService(t, Config{StoreEntries: 3})
 	for i := 0; i < 3; i++ {
-		s.put(testKey(i), []byte{byte(i)})
+		storeAll(t, svc, map[string]string{testKey(i): "r"})
 	}
 	// Touch key 0 so key 1 becomes the LRU victim.
-	if _, ok := s.get(testKey(0)); !ok {
+	if _, ok := svc.StoredResult(testKey(0)); !ok {
 		t.Fatal("key 0 missing before eviction")
 	}
-	s.put(testKey(3), []byte{3})
-	if _, ok := s.get(testKey(1)); ok {
+	storeAll(t, svc, map[string]string{testKey(3): "r"})
+	if _, ok := svc.StoredResult(testKey(1)); ok {
 		t.Error("key 1 (least recently used) survived eviction")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if _, ok := s.get(testKey(i)); !ok {
+		if _, ok := svc.StoredResult(testKey(i)); !ok {
 			t.Errorf("key %d evicted out of LRU order", i)
 		}
 	}
-	if st := s.stats(); st.Entries != 3 {
-		t.Errorf("entries = %d, want 3", st.Entries)
+	if st := svc.Stats(); st.StoreLen != 3 {
+		t.Errorf("store_entries = %d, want 3", st.StoreLen)
 	}
 }
 
 // TestStoreOverwriteDuplicatePut: re-putting a key replaces its bytes in
-// place — no duplicate entry, no spurious eviction.
+// place — no duplicate entry, no spurious eviction — and every put counts.
 func TestStoreOverwriteDuplicatePut(t *testing.T) {
-	s := newMemStore(2)
-	s.put(testKey(0), []byte("v1"))
-	s.put(testKey(1), []byte("other"))
-	s.put(testKey(0), []byte("v2"))
-	if st := s.stats(); st.Entries != 2 || st.Puts != 3 {
+	svc, _ := startService(t, Config{StoreEntries: 2})
+	storeAll(t, svc, map[string]string{testKey(0): "v1"})
+	storeAll(t, svc, map[string]string{testKey(1): "other"})
+	storeAll(t, svc, map[string]string{testKey(0): "v2"})
+	if st := svc.Stats(); st.StoreLen != 2 || st.StorePuts != 3 {
 		t.Fatalf("after overwrite: %+v", st)
 	}
-	if data, ok := s.get(testKey(0)); !ok || !bytes.Equal(data, []byte("v2")) {
+	if data, ok := svc.StoredResult(testKey(0)); !ok || !bytes.Equal(data, []byte("v2")) {
 		t.Errorf("overwritten key reads %q, want v2", data)
 	}
-	if _, ok := s.get(testKey(1)); !ok {
+	if _, ok := svc.StoredResult(testKey(1)); !ok {
 		t.Error("overwrite evicted an unrelated key")
 	}
 }
 
-// TestDiskStoreRoundTrip: a put lands on disk and a *fresh* store over the
-// same directory serves it (counted as a disk hit and promoted to memory).
+// TestDiskStoreRoundTrip: a put lands in the results dir and a *fresh*
+// service over the same directory serves it, counted as a disk hit (and a
+// store hit) and promoted to memory.
 func TestDiskStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	d1 := newDiskStore(4, dir)
-	d1.put(testKey(7), []byte("payload"))
-	if st := d1.stats(); st.DiskPuts != 1 {
-		t.Fatalf("disk puts = %d, want 1: %+v", st.DiskPuts, st)
+	svc1, _ := startService(t, Config{ResultsDir: dir})
+	storeAll(t, svc1, map[string]string{testKey(7): "payload"})
+	if st := svc1.Stats(); st.StoreDiskPuts != 1 {
+		t.Fatalf("disk puts = %d, want 1: %+v", st.StoreDiskPuts, st)
 	}
 
-	d2 := newDiskStore(4, dir)
-	data, ok := d2.get(testKey(7))
+	svc2, _ := startService(t, Config{ResultsDir: dir})
+	data, ok := svc2.StoredResult(testKey(7))
 	if !ok || !bytes.Equal(data, []byte("payload")) {
-		t.Fatalf("fresh store over same dir: ok=%v data=%q", ok, data)
+		t.Fatalf("fresh service over same dir: ok=%v data=%q", ok, data)
 	}
-	st := d2.stats()
-	if st.DiskHits != 1 || st.Hits != 1 {
+	st := svc2.Stats()
+	if st.StoreDiskHits != 1 || st.StoreHits != 1 {
 		t.Errorf("first read not counted as disk hit: %+v", st)
 	}
 	// Second read is served from the promoted in-memory entry.
-	if _, ok := d2.get(testKey(7)); !ok {
+	if _, ok := svc2.StoredResult(testKey(7)); !ok {
 		t.Fatal("promoted entry missing")
 	}
-	if st := d2.stats(); st.DiskHits != 1 || st.Hits != 2 {
+	if st := svc2.Stats(); st.StoreDiskHits != 1 || st.StoreHits != 2 {
 		t.Errorf("promotion did not serve the second read from memory: %+v", st)
 	}
 }
 
-// TestDiskStoreCorruptEviction mirrors progcache's corrupt-entry handling:
-// a flipped byte or truncated file reads as a miss, is counted in Corrupt,
-// and is removed so it cannot poison later reads.
+// TestDiskStoreCorruptEviction: a flipped byte, a truncated file or a
+// foreign file under a result's name reads as a miss, is counted in
+// store_corrupt, and is removed so it cannot poison later reads.
 func TestDiskStoreCorruptEviction(t *testing.T) {
 	for name, corrupt := range map[string]func(path string) error{
 		"byte-flip": func(path string) error {
@@ -116,18 +129,18 @@ func TestDiskStoreCorruptEviction(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			d := newDiskStore(4, dir)
-			d.put(testKey(1), []byte("precious bytes"))
-			path := d.path(testKey(1))
+			svc, _ := startService(t, Config{ResultsDir: dir})
+			storeAll(t, svc, map[string]string{testKey(1): "precious bytes"})
+			path := filepath.Join(dir, testKey(1)+".impresult")
 			if err := corrupt(path); err != nil {
 				t.Fatal(err)
 			}
-			fresh := newDiskStore(4, dir) // cold memory forces the disk read
-			if _, ok := fresh.get(testKey(1)); ok {
+			fresh, _ := startService(t, Config{ResultsDir: dir}) // cold memory forces the disk read
+			if _, ok := fresh.StoredResult(testKey(1)); ok {
 				t.Fatal("corrupt entry was served")
 			}
-			if st := fresh.stats(); st.Corrupt != 1 {
-				t.Errorf("corrupt counter = %d, want 1", st.Corrupt)
+			if st := fresh.Stats(); st.StoreCorrupt != 1 {
+				t.Errorf("corrupt counter = %d, want 1", st.StoreCorrupt)
 			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Errorf("corrupt file not evicted from disk: %v", err)
@@ -254,43 +267,20 @@ func TestServiceRestartWarmFromDisk(t *testing.T) {
 	}
 }
 
-// TestDiskStoreUnusableDirDegrades: an unwritable results dir must not
-// fail puts — the in-memory layer still serves the process.
+// TestDiskStoreUnusableDirDegrades: a results dir that cannot be created
+// must not fail puts — the in-memory layer still serves the process.
 func TestDiskStoreUnusableDirDegrades(t *testing.T) {
-	if os.Getuid() == 0 {
-		t.Skip("root ignores directory permissions")
-	}
-	parent := t.TempDir()
-	if err := os.Chmod(parent, 0o555); err != nil {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { os.Chmod(parent, 0o755) })
-	d := newDiskStore(4, filepath.Join(parent, "sub"))
-	d.put(testKey(3), []byte("kept in memory"))
-	if data, ok := d.get(testKey(3)); !ok || !bytes.Equal(data, []byte("kept in memory")) {
+	svc, _ := startService(t, Config{ResultsDir: filepath.Join(file, "sub")}) // a dir under a file
+	storeAll(t, svc, map[string]string{testKey(3): "kept in memory"})
+	if data, ok := svc.StoredResult(testKey(3)); !ok || !bytes.Equal(data, []byte("kept in memory")) {
 		t.Fatalf("memory layer lost the result: ok=%v", ok)
 	}
-	if st := d.stats(); st.DiskPuts != 0 {
-		t.Errorf("disk puts counted against an unwritable dir: %+v", st)
-	}
-}
-
-// BenchmarkStoreChurn measures put-with-eviction under steady churn — the
-// regression this guards is the old full-map victim scan (O(n) per put,
-// quadratic under churn), replaced by the intrusive LRU list.
-func BenchmarkStoreChurn(b *testing.B) {
-	const maxEntries = 1024
-	s := newMemStore(maxEntries)
-	keys := make([]string, 4*maxEntries)
-	for i := range keys {
-		keys[i] = testKey(i)
-	}
-	data := []byte("result bytes")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.put(keys[i%len(keys)], data)
-		s.get(keys[(i*7)%len(keys)])
+	if st := svc.Stats(); st.StoreDiskPuts != 0 || st.StorePuts != 1 {
+		t.Errorf("puts against an unusable dir: %+v", st)
 	}
 }
 
@@ -351,10 +341,10 @@ type blockingStore struct {
 	freeOnce  sync.Once
 }
 
-func (b *blockingStore) put(key string, data []byte) {
+func (b *blockingStore) Put(key, dir string, data []byte) {
 	b.enterOnce.Do(func() { close(b.entered) })
 	<-b.release
-	b.resultStore.put(key, data)
+	b.resultStore.Put(key, dir, data)
 }
 
 func (b *blockingStore) unblock() { b.freeOnce.Do(func() { close(b.release) }) }
